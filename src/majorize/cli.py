@@ -54,25 +54,23 @@ def cmd_check(args: argparse.Namespace, config: Config) -> int:
 
 def cmd_approx(args: argparse.Namespace, config: Config) -> int:
     p = read_distribution(args.p_file, config)
-    build = steepest if args.kind == "steepest" else flattest
-    sr = build(p, args.delta, tau=config.tau)
-    print(f"kind: {sr.kind}")
-    print(f"delta: {format_float(sr.delta)}")
-    print(f"clamped: {_yes_no(sr.clamped)}")
-    print("values: " + " ".join(format_float(v) for v in sr.result.values))
-    if sr.meta_steepest is not None:
-        print(f"head_count: {sr.meta_steepest.head_count}")
-        print(f"tail_value: {format_float(sr.meta_steepest.tail_value)}")
-    if sr.meta_flattest is not None:
-        print(f"upper_level: {format_float(sr.meta_flattest.upper_level)}")
-        print(f"lower_level: {format_float(sr.meta_flattest.lower_level)}")
-        print(f"upper_count: {sr.meta_flattest.upper_count}")
-        print(f"lower_start: {sr.meta_flattest.lower_start}")
+    if args.kind == "steepest":
+        sr = steepest(p, args.delta)
+    else:
+        sr = flattest(p, args.delta, tau=config.tau)
+    # stdout and --out share one dict; reformatting its rounded floats is exact
+    doc = smoothed_result_to_json(sr)
+    print(f"kind: {doc['kind']}")
+    print(f"delta: {format_float(doc['delta'])}")
+    print(f"clamped: {_yes_no(doc['clamped'])}")
+    print("values: " + " ".join(format_float(v) for v in doc["values"]))
+    for key, value in doc["meta"].items():
+        print(f"{key}: {format_float(value) if isinstance(value, float) else value}")
     if args.out:
-        write_json(args.out, smoothed_result_to_json(sr))
+        write_json(args.out, doc)
     if args.lorenz_out:
         curve_fn = lorenz_steepest if args.kind == "steepest" else lorenz_flattest
-        write_text(args.lorenz_out, lorenz_to_csv(curve_fn(p, args.delta, tau=config.tau)))
+        write_text(args.lorenz_out, lorenz_to_csv(curve_fn(p, args.delta)))
     return 0
 
 
@@ -83,7 +81,7 @@ def cmd_distance(args: argparse.Namespace, config: Config) -> int:
     print(f"delta_star: {format_float(delta_star)}")
     if majorizes(p, q, tau=config.tau):
         print("note: p already majorizes q")
-    up = majorizes(steepest(p, delta_star, tau=config.tau).result, q, tau=config.tau)
+    up = majorizes(steepest(p, delta_star).result, q, tau=config.tau)
     down = majorizes(p, flattest(q, delta_star, tau=config.tau).result, tau=config.tau)
     print(f"witness steepest(p, delta_star) majorizes q: {'PASS' if up else 'FAIL'}")
     print(f"witness p majorizes flattest(q, delta_star): {'PASS' if down else 'FAIL'}")
@@ -121,8 +119,8 @@ def cmd_lorenz(args: argparse.Namespace, config: Config) -> int:
     else:
         text = lorenz_table_to_csv(
             lorenz(p),
-            lorenz_steepest(p, args.delta, tau=config.tau),
-            lorenz_flattest(p, args.delta, tau=config.tau),
+            lorenz_steepest(p, args.delta),
+            lorenz_flattest(p, args.delta),
         )
     if args.out:
         write_text(args.out, text)

@@ -10,6 +10,7 @@ tolerance model absorbs the rounding.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Union
 
@@ -90,26 +91,18 @@ def distribution_to_json(p: Distribution, label: Optional[str] = None) -> dict:
 
 
 def smoothed_result_to_json(sr: SmoothedResult) -> dict:
-    """SmoothedResult as {"kind","delta","clamped","values","meta"}."""
-    meta: dict = {}
-    if sr.meta_steepest is not None:
-        meta = {
-            "head_count": sr.meta_steepest.head_count,
-            "tail_value": round_float(sr.meta_steepest.tail_value),
-        }
-    elif sr.meta_flattest is not None:
-        meta = {
-            "upper_level": round_float(sr.meta_flattest.upper_level),
-            "lower_level": round_float(sr.meta_flattest.lower_level),
-            "upper_count": sr.meta_flattest.upper_count,
-            "lower_start": sr.meta_flattest.lower_start,
-        }
+    """SmoothedResult as {"kind","delta","clamped","values","meta"}.
+
+    meta lists the meta dataclass's fields in declaration order ({} when
+    clamped), floats rounded like every other number.
+    """
+    meta = {} if sr.meta is None else asdict(sr.meta)
     return {
         "kind": sr.kind,
         "delta": round_float(sr.delta),
         "clamped": sr.clamped,
         "values": [round_float(v) for v in sr.result.values],
-        "meta": meta,
+        "meta": {k: round_float(v) if isinstance(v, float) else v for k, v in meta.items()},
     }
 
 

@@ -18,28 +18,34 @@ def _sorted_desc(values: ArrayLike) -> np.ndarray:
     return -np.sort(-arr)
 
 
+def _prefix_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Running deficit of p against q: entry l-1 is sum(q[:l]) - sum(p[:l]).
+
+    The one prefix-sum kernel behind every order predicate and the
+    distance; p majorizes q at tolerance tau exactly when no entry
+    exceeds tau.
+    """
+    if p.size != q.size:
+        raise DimensionMismatchError(f"k mismatch: {p.size} vs {q.size}")
+    return np.cumsum(q - p)
+
+
 def weakly_majorizes(p: ArrayLike, q: ArrayLike, *, tau: float = DEFAULT_TAU) -> bool:
     """Prefix-sum dominance of sorted p over sorted q, up to tau per prefix.
 
     Works on raw vectors (they are sorted here) and does not require the
     totals to match, so it applies to subprobability vectors too.
     """
-    ps = _sorted_desc(p)
-    qs = _sorted_desc(q)
-    if ps.size != qs.size:
-        raise DimensionMismatchError(f"k mismatch: {ps.size} vs {qs.size}")
-    return bool(np.all(np.cumsum(ps) >= np.cumsum(qs) - tau))
+    return bool(_prefix_gap(_sorted_desc(p), _sorted_desc(q)).max() <= tau)
 
 
 def majorizes(p: Distribution, q: Distribution, *, tau: float = DEFAULT_TAU) -> bool:
     """True when every prefix sum of p dominates the same prefix of q.
 
-    Both arguments are already canonical, so this is a single cumsum
-    comparison; the final prefixes agree by normalization.
+    Both arguments are already canonical, so this is a single prefix-gap
+    scan; the final prefixes agree by normalization.
     """
-    if p.k != q.k:
-        raise DimensionMismatchError(f"k mismatch: {p.k} vs {q.k}")
-    return bool(np.all(np.cumsum(p.values) >= np.cumsum(q.values) - tau))
+    return bool(_prefix_gap(p.values, q.values).max() <= tau)
 
 
 def first_failing_prefix(
@@ -49,9 +55,7 @@ def first_failing_prefix(
 
     Returns None when p majorizes q at tolerance tau.
     """
-    if p.k != q.k:
-        raise DimensionMismatchError(f"k mismatch: {p.k} vs {q.k}")
-    bad = np.cumsum(p.values) < np.cumsum(q.values) - tau
+    bad = _prefix_gap(p.values, q.values) > tau
     if not bad.any():
         return None
     return int(np.argmax(bad)) + 1
@@ -64,10 +68,7 @@ def majorization_distance(p: Distribution, q: Distribution) -> float:
     zero; it is also the least delta such that p majorizes some
     delta-perturbation of q, and it never exceeds 2.
     """
-    if p.k != q.k:
-        raise DimensionMismatchError(f"k mismatch: {p.k} vs {q.k}")
-    deficit = float(np.max(np.cumsum(q.values - p.values)))
-    return max(0.0, 2.0 * deficit)
+    return max(0.0, 2.0 * float(_prefix_gap(p.values, q.values).max()))
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,6 @@ def transfer_plan(
 
     Raises NotMajorizedError unless p majorizes q at tolerance tau.
     """
-    if p.k != q.k:
-        raise DimensionMismatchError(f"k mismatch: {p.k} vs {q.k}")
     if not majorizes(p, q, tau=tau):
         raise NotMajorizedError("p does not majorize q")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -100,8 +100,10 @@ def renyi_entropy(
     else:
 
         def fn(p: Distribution) -> float:
-            power_sum = float(np.power(p.values, alpha).sum())
-            return math.log(power_sum) / (1.0 - alpha) / log_base
+            # factor out the largest entry so p**alpha cannot underflow to 0
+            p1 = float(p.values[0])
+            ratio_sum = float(np.power(p.values / p1, alpha).sum())
+            return (alpha * math.log(p1) + math.log(ratio_sum)) / (1.0 - alpha) / log_base
 
     return SchurFunction(name, SCHUR_CONCAVE, fn)
 
@@ -133,15 +135,15 @@ def extremal_point(
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     kind = _extremal_argument(f.direction, mode)
-    build = steepest if kind == "steepest" else flattest
-    return kind, build(p, delta, tau=tau).result
+    if kind == "steepest":
+        return kind, steepest(p, delta).result
+    return kind, flattest(p, delta, tau=tau).result
 
 
 def smooth_max(
     f: SchurFunction, p: Distribution, delta: float, *, tau: float = DEFAULT_TAU
 ) -> float:
     """Exact maximum of f over distributions within l1 distance delta of p."""
-    check_delta(delta)
     return f(extremal_point(f, p, delta, "max", tau=tau)[1])
 
 
@@ -149,7 +151,6 @@ def smooth_min(
     f: SchurFunction, p: Distribution, delta: float, *, tau: float = DEFAULT_TAU
 ) -> float:
     """Exact minimum of f over distributions within l1 distance delta of p."""
-    check_delta(delta)
     return f(extremal_point(f, p, delta, "min", tau=tau)[1])
 
 
@@ -176,7 +177,7 @@ def brute_force_extremum(
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
     values = [f(sample_delta_ball(p, delta, rng)) for _ in range(n)]
-    values.append(f(steepest(p, delta, tau=tau).result))
+    values.append(f(steepest(p, delta).result))
     values.append(f(flattest(p, delta, tau=tau).result))
     return max(values) if mode == "max" else min(values)
 

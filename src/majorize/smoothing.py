@@ -7,14 +7,13 @@ Two constructions, both operating on the canonical sorted vector:
 * flattest: the most spread-out one; everything else in the ball
   majorizes it.
 
-Both come with closed-form Lorenz curves and report the construction
-internals (cut position, water-filling levels, block boundaries).
+Both report the construction internals (cut position, water-filling
+levels, block boundaries); steepest also has a closed-form Lorenz curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -66,25 +65,22 @@ class SmoothedResult:
 
     clamped means the budget already covered the distance to the
     absolute extreme (point mass or uniform), which is returned as is;
-    meta fields are None except the one matching `kind` on an
-    unclamped result.
+    meta holds the construction internals of the matching `kind`, and
+    is None on a clamped result.
     """
 
     result: Distribution
     kind: str
     delta: float
     clamped: bool
-    meta_steepest: Optional[SteepestMeta] = None
-    meta_flattest: Optional[FlattestMeta] = None
+    meta: SteepestMeta | FlattestMeta | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("steepest", "flattest"):
             raise ValueError(f"unknown kind: {self.kind!r}")
 
 
-def steepest(
-    p: Distribution, delta: float, *, tau: float = DEFAULT_TAU
-) -> SmoothedResult:
+def steepest(p: Distribution, delta: float) -> SmoothedResult:
     """Most concentrated distribution within l1 distance delta of p.
 
     Adds delta/2 to the largest entry and removes delta/2 from the end
@@ -100,9 +96,7 @@ def steepest(
     if l1_distance(p, top) <= delta:
         return SmoothedResult(top, "steepest", delta, True)
     if delta == 0.0:
-        return SmoothedResult(
-            p, "steepest", delta, False, meta_steepest=SteepestMeta(k, 0.0)
-        )
+        return SmoothedResult(p, "steepest", delta, False, SteepestMeta(k, 0.0))
     half = delta / 2.0
     prefix = np.cumsum(p.values)
     # ulp slack keeps exact-boundary cuts (prefix + half == 1) inclusive
@@ -125,13 +119,8 @@ def steepest(
         # overshoot out of the last entry instead of a nonexistent slot
         tail = 0.0
         vals[-1] = max(vals[-1] - half, 0.0)
-    return SmoothedResult(
-        Distribution(vals, p.perm),
-        "steepest",
-        delta,
-        False,
-        meta_steepest=SteepestMeta(head, float(tail)),
-    )
+    meta = SteepestMeta(head, float(tail))
+    return SmoothedResult(Distribution(vals, p.perm), "steepest", delta, False, meta)
 
 
 def flattest(
@@ -159,7 +148,7 @@ def flattest(
             upper_count=int(np.sum(v >= v[0] - tau)),
             lower_start=k - int(np.sum(v <= v[-1] + tau)) + 1,
         )
-        return SmoothedResult(p, "flattest", delta, False, meta_flattest=meta)
+        return SmoothedResult(p, "flattest", delta, False, meta)
     upper_level, upper_count = solve_upper_level(p, half, tau=tau)
     lower_level, lower_start = solve_lower_level(p, half, tau=tau)
     if upper_level <= lower_level:
@@ -167,9 +156,23 @@ def flattest(
         return SmoothedResult(flat, "flattest", delta, True)
     vals = np.clip(p.values, lower_level, upper_level)
     meta = FlattestMeta(upper_level, lower_level, upper_count, lower_start)
-    return SmoothedResult(
-        Distribution(vals, p.perm), "flattest", delta, False, meta_flattest=meta
-    )
+    return SmoothedResult(Distribution(vals, p.perm), "flattest", delta, False, meta)
+
+
+def _water_level(v: np.ndarray, budget: float) -> float:
+    """Level x at which cutting the non-increasing v down to x removes budget.
+
+    The removed-mass function is piecewise linear in the level with
+    breakpoints at the sorted entries, so a single O(k) scan finds the
+    segment: with the top m entries cut to level x the removal is
+    (sum of top m) - m*x.
+    """
+    levels = (np.cumsum(v) - budget) / np.arange(1.0, v.size + 1.0)
+    # first segment whose solved level stays above the next breakpoint
+    ok = np.empty(v.size, dtype=bool)
+    np.greater_equal(levels[:-1], v[1:], out=ok[:-1])
+    ok[-1] = True
+    return float(levels[np.argmax(ok)])
 
 
 def solve_upper_level(
@@ -177,12 +180,8 @@ def solve_upper_level(
 ) -> tuple[float, int]:
     """Water level from above: cutting entries down to it removes `budget`.
 
-    The removed-mass function is piecewise linear in the level with
-    breakpoints at the sorted entries, so a single O(k) scan finds the
-    segment: with the top m entries cut to level x the removal is
-    (sum of top m) - m*x. Returns the level and the size of the leveled
-    block, counting entries within tau of the level as members (they
-    join at zero cost).
+    Returns the level and the size of the leveled block, counting
+    entries within tau of the level as members (they join at zero cost).
 
     The budget must be positive and at most the total mass (the removal
     when the level reaches 0, tau slack); outside that range raises
@@ -190,19 +189,11 @@ def solve_upper_level(
     well inside this domain.
     """
     v = p.values
-    k = p.k
     budget = float(budget)
     cap = float(v.sum())
     if not 0.0 < budget <= cap + tau:
         raise BudgetOutOfRangeError(f"budget {budget} outside (0, {cap}]")
-    prefix = np.cumsum(v)
-    counts = np.arange(1.0, k + 1.0)
-    levels = (prefix - budget) / counts
-    # first segment whose solved level stays above the next breakpoint
-    ok = np.empty(k, dtype=bool)
-    np.greater_equal(levels[:-1], v[1:], out=ok[:-1])
-    ok[-1] = True
-    level = float(levels[np.argmax(ok)])
+    level = _water_level(v, budget)
     return level, int(np.sum(v >= level - tau))
 
 
@@ -211,11 +202,12 @@ def solve_lower_level(
 ) -> tuple[float, int]:
     """Water level from below: raising entries up to it adds `budget`.
 
-    Mirror image of solve_upper_level over the smallest entries. Returns
-    the level and the 1-based canonical index where the raised block
-    begins; entries within tau of the level count as block members. The
-    budget may not push the level past the largest entry, so the domain
-    is (0, k*p_1 - 1].
+    Mirror image of solve_upper_level: the upper level of the negated,
+    reversed vector, negated back (negation is exact). Returns the level
+    and the 1-based canonical index where the raised block begins;
+    entries within tau of the level count as block members. The budget
+    may not push the level past the largest entry, so the domain is
+    (0, k*p_1 - 1].
     """
     v = p.values
     k = p.k
@@ -223,21 +215,11 @@ def solve_lower_level(
     cap = float(k * v[0] - v.sum())
     if not 0.0 < budget <= cap + tau:
         raise BudgetOutOfRangeError(f"budget {budget} outside (0, {cap}]")
-    w = v[::-1]  # ascending
-    prefix = np.cumsum(w)
-    counts = np.arange(1.0, k + 1.0)
-    levels = (prefix + budget) / counts
-    ok = np.empty(k, dtype=bool)
-    np.less_equal(levels[:-1], w[1:], out=ok[:-1])
-    ok[-1] = True
-    level = float(levels[np.argmax(ok)])
-    block = int(np.sum(v <= level + tau))
-    return level, k - block + 1
+    level = -_water_level(-v[::-1], budget)
+    return level, k - int(np.sum(v <= level + tau)) + 1
 
 
-def lorenz_steepest(
-    p: Distribution, delta: float, *, tau: float = DEFAULT_TAU
-) -> LorenzCurve:
+def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:
     """Lorenz curve of steepest(p, delta) without building the vector.
 
     Every prefix sum shifts up by delta/2, capped at 1; agrees pointwise
@@ -251,35 +233,6 @@ def lorenz_steepest(
     return LorenzCurve(cum)
 
 
-def lorenz_flattest(
-    p: Distribution, delta: float, *, tau: float = DEFAULT_TAU
-) -> LorenzCurve:
-    """Lorenz curve of flattest(p, delta) without building the vector.
-
-    Straight chord of slope upper_level across the leveled top block,
-    the original curve shifted down by delta/2 in the middle, and a
-    chord of slope lower_level into the endpoint (1 at l = k) across
-    the raised bottom block.
-    """
-    delta = check_delta(delta)
-    k = p.k
-    half = delta / 2.0
-    if l1_distance(p, uniform(k)) <= delta or half == 0.0:
-        return lorenz(flattest(p, delta, tau=tau).result)
-    upper_level, _ = solve_upper_level(p, half, tau=tau)
-    lower_level, _ = solve_lower_level(p, half, tau=tau)
-    if upper_level <= lower_level:
-        return lorenz(uniform(k))
-    # strict counts make the three formulas exact at the block edges
-    top = int(np.sum(p.values > upper_level))
-    bottom = int(np.sum(p.values < lower_level))
-    l = np.arange(1.0, k + 1.0)
-    prefix = np.cumsum(p.values)
-    cum = np.empty(k + 1)
-    cum[0] = 0.0
-    cum[1:] = np.select(
-        [l <= top, l <= k - bottom],
-        [l * upper_level, prefix - half],
-        default=1.0 - (k - l) * lower_level,
-    )
-    return LorenzCurve(cum)
+def lorenz_flattest(p: Distribution, delta: float) -> LorenzCurve:
+    """Lorenz curve of flattest(p, delta)."""
+    return lorenz(flattest(p, delta).result)

@@ -66,6 +66,53 @@ APPROX_STEEPEST_JSON = """\
 
 APPROX_STEEPEST_LORENZ = "l,cumulative\n0,0\n1,0.8\n2,1\n3,1\n"
 
+APPROX_STEEPEST_CLAMPED = """\
+kind: steepest
+delta: 1.5
+clamped: yes
+values: 1 0 0
+"""
+
+APPROX_FLATTEST_CLAMPED = """\
+kind: flattest
+delta: 1.5
+clamped: yes
+values: 0.333333333333 0.333333333333 0.333333333333
+"""
+
+APPROX_STEEPEST_CLAMPED_JSON = """\
+{
+  "kind": "steepest",
+  "delta": 1.5,
+  "clamped": true,
+  "values": [
+    1.0,
+    0.0,
+    0.0
+  ],
+  "meta": {}
+}
+"""
+
+APPROX_FLATTEST_JSON = """\
+{
+  "kind": "flattest",
+  "delta": 0.4,
+  "clamped": false,
+  "values": [
+    0.4,
+    0.3,
+    0.3
+  ],
+  "meta": {
+    "upper_level": 0.4,
+    "lower_level": 0.3,
+    "upper_count": 1,
+    "lower_start": 2
+  }
+}
+"""
+
 DISTANCE_A_B = """\
 delta_star: 0.2
 witness steepest(p, delta_star) majorizes q: PASS

@@ -122,7 +122,7 @@ def test_criterion_4_level_monotonicity(ordered_pairs):
             fq = mj.flattest(q, float(delta))
             if fp.clamped or fq.clamped:
                 continue
-            mp, mq = fp.meta_flattest, fq.meta_flattest
+            mp, mq = fp.meta, fq.meta
             assert mp.upper_level >= mq.upper_level - 1e-9
             assert mp.lower_level <= mq.lower_level + 1e-9
             checked += 1

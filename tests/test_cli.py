@@ -71,6 +71,45 @@ class TestApprox:
         assert out_json.read_text() == golden.APPROX_STEEPEST_JSON
         assert out_csv.read_text() == golden.APPROX_STEEPEST_LORENZ
 
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("steepest", golden.APPROX_STEEPEST_CLAMPED),
+            ("flattest", golden.APPROX_FLATTEST_CLAMPED),
+        ],
+        ids=["steepest", "flattest"],
+    )
+    def test_clamped_stdout_has_no_meta_lines(self, capsys, inputs, kind, expected):
+        code, out, _ = run(
+            capsys, "approx", inputs["p.json"], "--delta", "1.5", "--kind", kind
+        )
+        assert out == expected
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "delta, kind, expected",
+        [
+            ("1.5", "steepest", golden.APPROX_STEEPEST_CLAMPED_JSON),
+            ("0.4", "flattest", golden.APPROX_FLATTEST_JSON),
+        ],
+        ids=["steepest_clamped", "flattest"],
+    )
+    def test_out_json_bytes(self, capsys, inputs, tmp_path, delta, kind, expected):
+        out_json = tmp_path / "r.json"
+        code, _, _ = run(
+            capsys,
+            "approx",
+            inputs["p.json"],
+            "--delta",
+            delta,
+            "--kind",
+            kind,
+            "--out",
+            str(out_json),
+        )
+        assert code == 0
+        assert out_json.read_text() == expected
+
     def test_delta_out_of_range(self, capsys, inputs):
         code, _, err = run(
             capsys, "approx", inputs["p.json"], "--delta", "3", "--kind", "steepest"

@@ -59,11 +59,25 @@ class TestWeaklyMajorizes:
         assert not mj.weakly_majorizes([0.3, 0.2], [0.5, 0.1])
 
     def test_matches_majorizes_on_distributions(self):
+        # every predicate on the shared prefix gap agrees with majorizes,
+        # on random pairs, equal pairs and pairs with tied entries
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            p = random_distribution(rng, k=4)
-            q = random_distribution(rng, k=4)
-            assert mj.weakly_majorizes(p.values, q.values) == mj.majorizes(p, q)
+        pairs = [
+            (random_distribution(rng, k=4), random_distribution(rng, k=4))
+            for _ in range(200)
+        ]
+
+        def tied():
+            return mj.make_distribution(rng.integers(1, 4, 4).astype(float), "renormalize")
+
+        for p, _ in pairs[:100]:
+            t = tied()
+            pairs += [(p, p), (t, t), (t, tied()), (t, p), (p, t)]
+        for p, q in pairs:
+            expected = mj.majorizes(p, q)
+            assert mj.weakly_majorizes(p.values, q.values) == expected
+            assert (mj.first_failing_prefix(p, q) is None) == expected
+            assert (mj.majorization_distance(p, q) <= 2 * 1e-9) == expected
 
 
 class TestFirstFailingPrefix:

@@ -62,6 +62,15 @@ class TestEntropyFamilies:
         values = [mj.renyi_entropy(a)(P) for a in (0.0, 0.5, 1.0, 2.0, math.inf)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_large_alpha_does_not_underflow(self):
+        # 0.2**2000 underflows to 0; the order-2000 value is still finite
+        p = mj.make_distribution([0.5, 0.3, 0.2])
+        value = mj.renyi_entropy(2000.0)(p)
+        assert math.isfinite(value)
+        assert mj.renyi_entropy(math.inf)(p) <= value <= mj.renyi_entropy(2.0)(p)
+        # (2000 * log2(0.5) + log2(1 + 0.6**2000 + 0.4**2000)) / (1 - 2000)
+        assert value == pytest.approx(2000.0 / 1999.0, rel=1e-12)
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(NegativeAlphaError):
             mj.renyi_entropy(-0.5)

@@ -16,9 +16,9 @@ class TestSteepest:
         assert out.result.values == pytest.approx([0.8, 0.2, 0.0], abs=1e-9)
         assert out.kind == "steepest"
         assert not out.clamped
-        assert out.meta_steepest.head_count == 1
-        assert out.meta_steepest.tail_value == pytest.approx(0.2, abs=1e-9)
-        assert out.meta_flattest is None
+        assert out.meta.head_count == 1
+        assert out.meta.tail_value == pytest.approx(0.2, abs=1e-9)
+        assert isinstance(out.meta, mj.SteepestMeta)
 
     def test_zero_delta_is_identity(self):
         out = mj.steepest(P, 0.0)
@@ -30,14 +30,14 @@ class TestSteepest:
         out = mj.steepest(p, 0.5)
         assert out.result.values.tolist() == [1.0, 0.0]
         assert out.clamped
-        assert out.meta_steepest is None
+        assert out.meta is None
 
     def test_four_point_cut_position(self):
         p = mj.make_distribution([0.4, 0.3, 0.2, 0.1])
         out = mj.steepest(p, 0.2)
         assert out.result.values == pytest.approx([0.5, 0.3, 0.2, 0.0], abs=1e-9)
-        assert out.meta_steepest.head_count == 3
-        assert out.meta_steepest.tail_value == pytest.approx(0.0, abs=1e-9)
+        assert out.meta.head_count == 3
+        assert out.meta.tail_value == pytest.approx(0.0, abs=1e-9)
 
     def test_distance_saturates_budget_when_unclamped(self):
         rng = np.random.default_rng(21)
@@ -57,8 +57,8 @@ class TestSteepest:
             out = mj.steepest(p, float(rng.uniform(0, 2)))
             v = out.result.values
             assert np.all(np.diff(v) <= 1e-15)
-            if not out.clamped and out.meta_steepest.head_count < p.k:
-                h = out.meta_steepest.head_count
+            if not out.clamped and out.meta.head_count < p.k:
+                h = out.meta.head_count
                 assert v[h - 1] >= v[h] - 1e-12
 
     def test_majorizes_source(self):
@@ -77,12 +77,12 @@ class TestFlattest:
         assert out.result.values == pytest.approx([0.4, 0.3, 0.3], abs=1e-9)
         assert out.kind == "flattest"
         assert not out.clamped
-        m = out.meta_flattest
+        m = out.meta
         assert m.upper_level == pytest.approx(0.4, abs=1e-9)
         assert m.lower_level == pytest.approx(0.3, abs=1e-9)
         assert m.upper_count == 1
         assert m.lower_start == 2
-        assert out.meta_steepest is None
+        assert isinstance(out.meta, mj.FlattestMeta)
 
     def test_zero_delta_is_identity(self):
         out = mj.flattest(P, 0.0)
@@ -99,7 +99,7 @@ class TestFlattest:
         p = mj.make_distribution([0.7, 0.2, 0.1])
         out = mj.flattest(p, 0.2)
         assert out.result.values == pytest.approx([0.6, 0.2, 0.2], abs=1e-9)
-        m = out.meta_flattest
+        m = out.meta
         assert m.upper_level == pytest.approx(0.6, abs=1e-9)
         assert m.lower_level == pytest.approx(0.2, abs=1e-9)
         # mass removed above == mass added below == delta/2
@@ -114,7 +114,7 @@ class TestFlattest:
             p = random_distribution(rng)
             out = mj.flattest(p, float(rng.uniform(0, 2)))
             if not out.clamped:
-                assert out.meta_flattest.upper_level > out.meta_flattest.lower_level
+                assert out.meta.upper_level > out.meta.lower_level
 
     def test_distance_saturates_budget_when_unclamped(self):
         rng = np.random.default_rng(24)
@@ -312,6 +312,6 @@ class TestLevelMonotonicity:
             fq = mj.flattest(q, delta)
             if fp.clamped or fq.clamped:
                 continue
-            assert fp.meta_flattest.upper_level >= fq.meta_flattest.upper_level - 1e-9
-            assert fp.meta_flattest.lower_level <= fq.meta_flattest.lower_level + 1e-9
+            assert fp.meta.upper_level >= fq.meta.upper_level - 1e-9
+            assert fp.meta.lower_level <= fq.meta.lower_level + 1e-9
             checked += 1
