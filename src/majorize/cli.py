@@ -91,7 +91,7 @@ def cmd_distance(args: argparse.Namespace, config: Config) -> int:
 def cmd_smooth(args: argparse.Namespace, config: Config) -> int:
     p = read_distribution(args.p_file, config)
     f = parse_function_spec(args.function, config.base)
-    kind, point = extremal_point(f, p, args.delta, args.mode, tau=config.tau)
+    kind, point = extremal_point(f, p, args.delta, args.mode)
     value = f(point)
     print(f"function: {f.name} ({f.direction})")
     print(f"mode: {args.mode}")
@@ -101,9 +101,7 @@ def cmd_smooth(args: argparse.Namespace, config: Config) -> int:
     if args.verify is None:
         return 0
     seed = int(os.environ.get("MAJORIZE_SEED", "0"))
-    oracle = brute_force_extremum(
-        f, p, args.delta, args.verify, seed, args.mode, tau=config.tau
-    )
+    oracle = brute_force_extremum(f, p, args.delta, args.verify, seed, args.mode)
     gap = value - oracle
     ok = abs(gap) <= config.tau
     print(f"oracle_value: {format_float(oracle)}")

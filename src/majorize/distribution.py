@@ -96,6 +96,14 @@ class Distribution:
         return f"Distribution([{body}])"
 
 
+def _trusted(values: np.ndarray, perm: np.ndarray) -> Distribution:
+    """Wrap arrays the library has already checked as canonical and frozen."""
+    d = object.__new__(Distribution)
+    object.__setattr__(d, "values", values)
+    object.__setattr__(d, "perm", perm)
+    return d
+
+
 @dataclass(frozen=True, eq=False)
 class LorenzCurve:
     """Prefix-sum polyline of a canonical distribution.
@@ -247,6 +255,55 @@ def sample_delta_ball(p: Distribution, delta: float, seed: SeedLike) -> Distribu
     vals = np.where(vals > 0.0, vals, 0.0)
     order = np.argsort(-vals, kind="stable")
     return Distribution(vals[order], order)
+
+
+def _ball_rows(
+    p: Distribution, delta: float, rng: np.random.Generator, n: int
+) -> list[Distribution]:
+    """n draws of sample_delta_ball(p, delta, rng) as one (n, k) pass.
+
+    Row r is bit-identical to the r-th of n sequential calls on the same
+    generator, which is left in the same state: the Dirichlet draws come
+    from one call in the same order, and every other step is the per-call
+    arithmetic row by row. Distribution's checks run once over the block,
+    so the rows are wrapped without checking them again. `delta` must
+    already be checked.
+    """
+    base = p.values
+    u = rng.dirichlet(np.ones(p.k), size=n)
+    step = u - base
+    width = np.abs(step).sum(axis=1)
+    inside = width <= delta
+    t = np.ones(n)
+    t[~inside] = (delta / width[~inside]) * (1.0 - 1e-12)
+    vals = base + t[:, None] * step
+    # per-row retighten, as in sample_delta_ball; rows still over budget
+    # after four rescales fall back to p
+    over = np.arange(n)
+    for _ in range(4):
+        moved = np.abs(vals[over] - base).sum(axis=1)
+        keep = moved > delta
+        over, moved = over[keep], moved[keep]
+        if over.size == 0:
+            break
+        t[over] *= (delta / moved) * (1.0 - 1e-12)
+        vals[over] = base + t[over, None] * step[over]
+    else:
+        vals[over] = base
+    vals = np.where(vals > 0.0, vals, 0.0)
+    order = np.argsort(-vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+
+    if vals[:, -1].min() < 0.0 or not np.all(vals[:, :-1] >= vals[:, 1:]):
+        raise ValueError("values must be non-increasing and nonnegative")
+    worst = float(np.abs(vals.sum(axis=1) - 1.0).max())
+    if worst > _STRUCT_TOL:
+        raise NotNormalizedError(f"a row sum is {worst!r} away from 1")
+    if not np.all(np.sort(order, axis=1) == np.arange(p.k)):
+        raise ValueError("perm is not a permutation of 0..k-1")
+    vals.setflags(write=False)
+    order.setflags(write=False)
+    return [_trusted(v, o) for v, o in zip(vals, order)]
 
 
 def sample_majorized_pair(k: int, seed: SeedLike) -> tuple[Distribution, Distribution]:

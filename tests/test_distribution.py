@@ -11,6 +11,7 @@ from majorize.errors import (
     ZeroDimensionError,
     ZeroSumError,
 )
+from majorize.distribution import _ball_rows
 
 from conftest import random_distribution
 
@@ -174,6 +175,37 @@ class TestSampleDeltaBall:
             mj.sample_delta_ball(p, -0.5, 0)
         with pytest.raises(InvalidDeltaError):
             mj.sample_delta_ball(p, 2.5, 0)
+
+
+def _ball_bases(k: int) -> list[mj.Distribution]:
+    """A random base plus one with tied and zero entries (where k allows)."""
+    rng = np.random.default_rng(k)
+    bases = [random_distribution(rng, k=k)]
+    if k > 1:
+        raw = np.resize([3.0, 3.0, 1.0, 0.0], k)
+        bases.append(mj.make_distribution(raw, "renormalize"))
+    return bases
+
+
+class TestBallRows:
+    @pytest.mark.parametrize("k", [1, 2, 8, 128])
+    def test_rows_equal_sequential_draws(self, k):
+        # the block sampler must reproduce sample_delta_ball bit for bit and
+        # leave the generator where n sequential calls would leave it
+        for b, p in enumerate(_ball_bases(k)):
+            for delta in (0.0, 1e-13, 0.4, 2.0):
+                for n in (1, 63, 64, 65, 500):
+                    seed = 1000 * k + 100 * b + n
+                    block_rng = np.random.default_rng(seed)
+                    rows = _ball_rows(p, delta, block_rng, n)
+                    call_rng = np.random.default_rng(seed)
+                    want = [mj.sample_delta_ball(p, delta, call_rng) for _ in range(n)]
+                    assert len(rows) == n
+                    for got, exp in zip(rows, want):
+                        assert got.values.tobytes() == exp.values.tobytes()
+                        assert got.perm.tobytes() == exp.perm.tobytes()
+                        assert not got.values.flags.writeable
+                    assert block_rng.random() == call_rng.random()
 
 
 class TestSampleMajorizedPair:

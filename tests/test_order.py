@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,37 @@ from conftest import random_distribution
 
 P = [0.6, 0.3, 0.1]
 Q = [0.4, 0.3, 0.3]
+
+# Plans for sample_majorized_pair(k, seed) as the O(k^4) matrix-product
+# sweep built them: (k, seed, step count, digest of the steps written as
+# "i,j,t.hex()" joined by ";", digest of the matrix bytes). Digests are the
+# first 16 hex digits of sha256.
+FROZEN_PLANS = [
+    (1, 0, 0, "e3b0c44298fc1c14", "6c3c396ed6b5c36d"),
+    (2, 1, 1, "6b5e3991a41057ea", "d224aec1b480ad61"),
+    (3, 2, 2, "02ac89348903d7ab", "e86c614c02b4688b"),
+    (4, 3, 3, "f354b325f0daf18a", "6d00de58e3cda74a"),
+    (5, 4, 4, "b3ffa7aef5a26c5b", "0617537bab204829"),
+    (8, 5, 7, "6fc4653aa7a65ed2", "aeaeeb5209ada3bc"),
+    (13, 6, 12, "81c6e86fe2f98941", "f60b175777d8537d"),
+    (16, 7, 15, "a7d743b3642b7c2a", "f08fd05c0cb04644"),
+    (21, 8, 20, "4bd42f0c97a403c7", "35d0062b0a7c20e1"),
+    (32, 9, 31, "8d336aeca98b642b", "e844c332f3026c0f"),
+    (33, 10, 32, "e2537a7552a56010", "38321a54c3ca0607"),
+    (47, 11, 46, "0517c6011821a9d0", "eee00aeb99e78542"),
+    (64, 12, 63, "d48c91af7c7b873b", "86bfe5e9aefcbd94"),
+    (65, 13, 64, "0a9e70c4cffc9db5", "f2b30b433b3823c3"),
+    (90, 14, 89, "b91c79de277fef78", "986ef371b5274937"),
+    (100, 15, 99, "a13c9dde28c2eef7", "864931ea3ad6c9d6"),
+    (111, 16, 110, "bb79adf87f11db44", "837146bfbaa8a239"),
+    (127, 17, 126, "b81f9821f11a9db4", "06f69fe5a61c921e"),
+    (128, 18, 127, "7641aecf67b682ba", "3f7e72ec3c117f69"),
+    (128, 19, 127, "d639beac560a5a2c", "d0329e2b85145946"),
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 class TestMajorizes:
@@ -203,6 +236,34 @@ class TestTransferPlan:
             assert np.abs(plan.apply(p.values) - q.values).max() <= 1e-9
             # the matrix is the same map as the step sequence
             assert plan.matrix @ p.values == pytest.approx(q.values, abs=1e-9)
+
+    def test_plans_are_bit_identical_to_the_matrix_product_sweep(self):
+        for k, seed, n_steps, steps_digest, matrix_digest in FROZEN_PLANS:
+            p, q = mj.sample_majorized_pair(k, seed)
+            plan = mj.transfer_plan(p, q)
+            steps = ";".join(f"{s.i},{s.j},{s.t.hex()}" for s in plan.steps)
+            assert len(plan.steps) == n_steps, (k, seed)
+            assert _digest(steps.encode()) == steps_digest, (k, seed)
+            assert _digest(plan.matrix.tobytes()) == matrix_digest, (k, seed)
+
+    def test_accepts_sub_tau_deficit_ahead_of_the_surplus(self):
+        # majorizes accepts this pair within tau, so a plan must exist
+        p = mj.make_distribution([0.5, 0.3, 0.2])
+        q = mj.make_distribution([0.5 + 5e-10, 0.3 - 5e-10, 0.2])
+        assert mj.majorizes(p, q)
+        plan = mj.transfer_plan(p, q)
+        assert len(plan.steps) <= p.k - 1
+        assert np.abs(plan.matrix @ p.values - q.values).max() <= 1e-9
+
+    def test_large_k_plan(self):
+        p, q = mj.sample_majorized_pair(1000, 3)
+        plan = mj.transfer_plan(p, q)
+        m = plan.matrix
+        assert len(plan.steps) <= 999
+        assert float(m.min()) >= -1e-9
+        assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-9
+        assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(m @ p.values - q.values).max() <= 1e-9
 
     def test_rejects_unordered_pair(self):
         a = mj.make_distribution([0.5, 0.5, 0.0])
