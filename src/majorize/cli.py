@@ -82,7 +82,7 @@ def cmd_distance(args: argparse.Namespace, config: Config) -> int:
     if majorizes(p, q, tau=config.tau):
         print("note: p already majorizes q")
     up = majorizes(steepest(p, delta_star).result, q, tau=config.tau)
-    down = majorizes(p, flattest(q, delta_star, tau=config.tau).result, tau=config.tau)
+    down = majorizes(p, flattest(q, delta_star).result, tau=config.tau)
     print(f"witness steepest(p, delta_star) majorizes q: {'PASS' if up else 'FAIL'}")
     print(f"witness p majorizes flattest(q, delta_star): {'PASS' if down else 'FAIL'}")
     return 0 if up and down else 1

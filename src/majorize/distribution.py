@@ -9,7 +9,7 @@ Distances are l1 distances between canonical vectors (maximum 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -26,9 +26,10 @@ from .errors import (
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 SeedLike = Union[int, np.random.Generator]
+_T = TypeVar("_T")
 
-# Structural slack for validating internally constructed vectors; inputs go
-# through make_distribution, which applies the caller's tau_norm first.
+# Sum slack of the public validators, which guard only objects a caller
+# constructs directly; objects the library builds are wrapped by _trusted.
 _STRUCT_TOL = DEFAULT_TAU_NORM
 
 
@@ -96,12 +97,23 @@ class Distribution:
         return f"Distribution([{body}])"
 
 
-def _trusted(values: np.ndarray, perm: np.ndarray) -> Distribution:
-    """Wrap arrays the library has already checked as canonical and frozen."""
-    d = object.__new__(Distribution)
-    object.__setattr__(d, "values", values)
-    object.__setattr__(d, "perm", perm)
-    return d
+def _trusted(cls: type[_T], **arrays: np.ndarray) -> _T:
+    """Freeze library-built arrays and set them as cls's fields, unchecked.
+
+    Values from a caller are checked (Distribution, LorenzCurve,
+    make_distribution); values the library builds are canonical by
+    construction. Callers pass contiguous float64 values and intp perms:
+    make_distribution its checked input argsorted and divided by its
+    finite sum; uniform and point_mass closed forms; the samplers
+    clamped, argsorted convex combinations of distributions; steepest and
+    flattest sorted, mass-keeping edits of p with p's perm; lorenz and
+    lorenz_steepest prefix sums from 0 of a canonical vector, capped at 1.
+    """
+    obj = object.__new__(cls)
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,17 +202,20 @@ def make_distribution(
     elif policy == "renormalize":
         if total <= 0.0:
             raise ZeroSumError("cannot renormalize a zero vector")
+        if np.isinf(total):
+            raise NotNormalizedError(f"sum {total} overflows")
     else:
         raise ValueError(f"unknown policy: {policy!r}")
     order = np.argsort(-arr, kind="stable")
-    return Distribution(arr[order] / total, order)
+    return _trusted(Distribution, values=arr[order] / total, perm=order)
 
 
 def uniform(k: int) -> Distribution:
     """The flat distribution on k outcomes."""
     if k < 1:
         raise ZeroDimensionError("k must be >= 1")
-    return Distribution(np.full(k, 1.0 / k), np.arange(k))
+    perm = np.arange(k, dtype=np.intp)
+    return _trusted(Distribution, values=np.full(k, 1.0 / k), perm=perm)
 
 
 def point_mass(k: int) -> Distribution:
@@ -209,7 +224,7 @@ def point_mass(k: int) -> Distribution:
         raise ZeroDimensionError("k must be >= 1")
     values = np.zeros(k)
     values[0] = 1.0
-    return Distribution(values, np.arange(k))
+    return _trusted(Distribution, values=values, perm=np.arange(k, dtype=np.intp))
 
 
 def l1_distance(p: Distribution, q: Distribution) -> float:
@@ -224,7 +239,7 @@ def lorenz(p: Distribution) -> LorenzCurve:
     cum = np.empty(p.k + 1)
     cum[0] = 0.0
     np.cumsum(p.values, out=cum[1:])
-    return LorenzCurve(cum)
+    return _trusted(LorenzCurve, cumulative=cum)
 
 
 def sample_delta_ball(p: Distribution, delta: float, seed: SeedLike) -> Distribution:
@@ -254,7 +269,7 @@ def sample_delta_ball(p: Distribution, delta: float, seed: SeedLike) -> Distribu
         vals = p.values.copy()
     vals = np.where(vals > 0.0, vals, 0.0)
     order = np.argsort(-vals, kind="stable")
-    return Distribution(vals[order], order)
+    return _trusted(Distribution, values=vals[order], perm=order)
 
 
 def _ball_rows(
@@ -265,9 +280,8 @@ def _ball_rows(
     Row r is bit-identical to the r-th of n sequential calls on the same
     generator, which is left in the same state: the Dirichlet draws come
     from one call in the same order, and every other step is the per-call
-    arithmetic row by row. Distribution's checks run once over the block,
-    so the rows are wrapped without checking them again. `delta` must
-    already be checked.
+    arithmetic row by row; each row is a read-only view into the block.
+    `delta` must already be checked.
     """
     base = p.values
     u = rng.dirichlet(np.ones(p.k), size=n)
@@ -293,17 +307,7 @@ def _ball_rows(
     vals = np.where(vals > 0.0, vals, 0.0)
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
-
-    if vals[:, -1].min() < 0.0 or not np.all(vals[:, :-1] >= vals[:, 1:]):
-        raise ValueError("values must be non-increasing and nonnegative")
-    worst = float(np.abs(vals.sum(axis=1) - 1.0).max())
-    if worst > _STRUCT_TOL:
-        raise NotNormalizedError(f"a row sum is {worst!r} away from 1")
-    if not np.all(np.sort(order, axis=1) == np.arange(p.k)):
-        raise ValueError("perm is not a permutation of 0..k-1")
-    vals.setflags(write=False)
-    order.setflags(write=False)
-    return [_trusted(v, o) for v, o in zip(vals, order)]
+    return [_trusted(Distribution, values=v, perm=o) for v, o in zip(vals, order)]
 
 
 def sample_majorized_pair(k: int, seed: SeedLike) -> tuple[Distribution, Distribution]:
@@ -318,7 +322,7 @@ def sample_majorized_pair(k: int, seed: SeedLike) -> tuple[Distribution, Distrib
     rng = _as_generator(seed)
     p_raw = rng.dirichlet(np.ones(k))
     order = np.argsort(-p_raw, kind="stable")
-    p = Distribution(p_raw[order], order)
+    p = _trusted(Distribution, values=p_raw[order], perm=order)
 
     n_parts = k + 1
     weights = rng.dirichlet(np.ones(n_parts))
@@ -326,4 +330,4 @@ def sample_majorized_pair(k: int, seed: SeedLike) -> tuple[Distribution, Distrib
     for w in weights[1:]:
         q_raw = q_raw + w * p.values[rng.permutation(k)]
     q_order = np.argsort(-q_raw, kind="stable")
-    return p, Distribution(q_raw[q_order], q_order)
+    return p, _trusted(Distribution, values=q_raw[q_order], perm=q_order)

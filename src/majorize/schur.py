@@ -19,6 +19,7 @@ from .config import DEFAULT_TAU
 from .distribution import (
     Distribution,
     SeedLike,
+    _as_generator,
     _ball_rows,
     check_delta,
     sample_majorized_pair,
@@ -72,12 +73,10 @@ def shannon(base: float = 2.0) -> SchurFunction:
     return SchurFunction("shannon", SCHUR_CONCAVE, fn)
 
 
-def renyi_entropy(
-    alpha: float, base: float = 2.0, *, support_tau: float = DEFAULT_TAU
-) -> SchurFunction:
+def renyi_entropy(alpha: float, base: float = 2.0) -> SchurFunction:
     """The one-parameter entropy family, Schur-concave for every alpha.
 
-    alpha=0 counts the support (entries above support_tau, which only
+    alpha=0 counts the support (entries above DEFAULT_TAU, which only
     guards float noise since tail cuts produce exact zeros); alpha=1 and
     anything within 1e-6 of it routes to the Shannon formula to avoid
     the 1/(1-alpha) blowup; alpha=inf is -log of the largest entry.
@@ -96,7 +95,7 @@ def renyi_entropy(
     elif alpha == 0.0:
 
         def fn(p: Distribution) -> float:
-            return float(math.log(int(np.sum(p.values > support_tau))) / log_base)
+            return float(math.log(int(np.sum(p.values > DEFAULT_TAU))) / log_base)
 
     elif abs(alpha - 1.0) <= 1e-6:
         return SchurFunction(name, SCHUR_CONCAVE, shannon(base).fn)
@@ -177,7 +176,7 @@ def brute_force_extremum(
         raise ValueError(f"need at least one sample, got {n}")
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
+    rng = _as_generator(seed)
     values = []
     for start in range(0, n, _ORACLE_BLOCK):
         rows = _ball_rows(p, delta, rng, min(_ORACLE_BLOCK, n - start))
@@ -187,30 +186,23 @@ def brute_force_extremum(
     return max(values) if mode == "max" else min(values)
 
 
-def direction_violations(
-    f: SchurFunction,
-    trials: int,
-    seed: SeedLike,
-    *,
-    tau: float = DEFAULT_TAU,
-    k_range: tuple[int, int] = (2, 8),
-) -> int:
+def direction_violations(f: SchurFunction, trials: int, seed: SeedLike) -> int:
     """Count declared-direction failures on random ordered pairs.
 
-    Draws p majorizing q and checks f moves the declared way (slack tau);
-    a nonzero count means the declared direction is wrong.
+    Draws p majorizing q with k in 2..8 and checks f moves the declared
+    way (slack DEFAULT_TAU); a nonzero count means the declared direction
+    is wrong.
     """
-    rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
-    lo, hi = k_range
+    rng = _as_generator(seed)
     bad = 0
     for _ in range(trials):
-        k = int(rng.integers(lo, hi + 1))
+        k = int(rng.integers(2, 9))
         p, q = sample_majorized_pair(k, rng)
         fp, fq = f(p), f(q)
         if f.direction == SCHUR_CONVEX:
-            bad += fp < fq - tau
+            bad += fp < fq - DEFAULT_TAU
         else:
-            bad += fp > fq + tau
+            bad += fp > fq + DEFAULT_TAU
     return bad
 
 

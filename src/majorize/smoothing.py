@@ -21,6 +21,7 @@ from .config import DEFAULT_TAU
 from .distribution import (
     Distribution,
     LorenzCurve,
+    _trusted,
     check_delta,
     l1_distance,
     lorenz,
@@ -120,7 +121,8 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
         tail = 0.0
         vals[-1] = max(vals[-1] - half, 0.0)
     meta = SteepestMeta(head, float(tail))
-    return SmoothedResult(Distribution(vals, p.perm), "steepest", delta, False, meta)
+    result = _trusted(Distribution, values=vals, perm=p.perm)
+    return SmoothedResult(result, "steepest", delta, False, meta)
 
 
 def flattest(
@@ -156,7 +158,8 @@ def flattest(
         return SmoothedResult(flat, "flattest", delta, True)
     vals = np.clip(p.values, lower_level, upper_level)
     meta = FlattestMeta(upper_level, lower_level, upper_count, lower_start)
-    return SmoothedResult(Distribution(vals, p.perm), "flattest", delta, False, meta)
+    result = _trusted(Distribution, values=vals, perm=p.perm)
+    return SmoothedResult(result, "flattest", delta, False, meta)
 
 
 def _water_level(v: np.ndarray, budget: float) -> float:
@@ -230,7 +233,7 @@ def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:
     cum[0] = 0.0
     np.cumsum(p.values, out=cum[1:])
     cum[1:] = np.minimum(cum[1:] + delta / 2.0, 1.0)
-    return LorenzCurve(cum)
+    return _trusted(LorenzCurve, cumulative=cum)
 
 
 def lorenz_flattest(p: Distribution, delta: float) -> LorenzCurve:

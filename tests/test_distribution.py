@@ -63,6 +63,10 @@ class TestMakeDistribution:
         with pytest.raises(ZeroSumError):
             mj.make_distribution([0.0, 0.0], "renormalize")
 
+    def test_overflowing_sum_rejected_under_renormalize(self):
+        with pytest.raises(NotNormalizedError), np.errstate(over="ignore"):
+            mj.make_distribution([1e308, 1e308], "renormalize")
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             mj.make_distribution([0.5, float("nan")], "renormalize")
@@ -206,6 +210,62 @@ class TestBallRows:
                         assert got.perm.tobytes() == exp.perm.tobytes()
                         assert not got.values.flags.writeable
                     assert block_rng.random() == call_rng.random()
+
+
+def _sweep_inputs(rng):
+    # k up to 1000 with plain, tied, zero and subnormal entries
+    for k in (1, 2, 3, 7, 50, 1000):
+        for kind in ("plain", "ties", "zeros", "subnormal"):
+            for _ in range(3):
+                raw = rng.dirichlet(np.full(k, 0.5))
+                if kind == "ties":
+                    raw = rng.integers(1, 4, size=k).astype(float)
+                elif kind == "zeros":
+                    raw[1:][rng.random(k - 1) < 0.4] = 0.0
+                elif kind == "subnormal":
+                    tiny = rng.random(k - 1) < 0.4
+                    raw[1:][tiny] = rng.choice([5e-324, 1e-310, 1e-300], tiny.sum())
+                yield mj.make_distribution(raw, "renormalize")
+
+
+def _sweep_deltas(p, rng):
+    # zero, subnormal and tiny budgets, both clamp boundaries +-1 ulp, and 2
+    out = [0.0, 5e-324, 1e-300, 1e-12, float(rng.uniform(0, 2)), 2.0]
+    for edge in (mj.l1_distance(p, mj.point_mass(p.k)), mj.l1_distance(p, mj.uniform(p.k))):
+        out += [edge, np.nextafter(edge, -1.0), np.nextafter(edge, 3.0)]
+    return [min(max(float(d), 0.0), 2.0) for d in out]
+
+
+class TestLibraryBuiltObjectsAreCanonical:
+    # library results are wrapped without running the validators, so the
+    # output of every function that makes one must pass them here and come
+    # back write-locked
+    @staticmethod
+    def _check(obj):
+        if isinstance(obj, mj.LorenzCurve):
+            assert not obj.cumulative.flags.writeable
+            mj.LorenzCurve(obj.cumulative.copy())
+        else:
+            assert not obj.values.flags.writeable and not obj.perm.flags.writeable
+            mj.Distribution(obj.values.copy(), obj.perm.copy())
+
+    def test_every_library_result_passes_the_public_validators(self):
+        rng = np.random.default_rng(20261018)
+        for p in _sweep_inputs(rng):
+            k = p.k
+            self._check(mj.make_distribution(p.to_original_order(), "renormalize"))
+            for obj in (p, mj.uniform(k), mj.point_mass(k), mj.lorenz(p)):
+                self._check(obj)
+            for obj in mj.sample_majorized_pair(k, rng):
+                self._check(obj)
+            for delta in _sweep_deltas(p, rng):
+                self._check(mj.steepest(p, delta).result)
+                self._check(mj.flattest(p, delta).result)
+                self._check(mj.lorenz_steepest(p, delta))
+                self._check(mj.lorenz_flattest(p, delta))
+                self._check(mj.sample_delta_ball(p, delta, rng))
+                for row in _ball_rows(p, delta, rng, 3):
+                    self._check(row)
 
 
 class TestSampleMajorizedPair:

@@ -206,6 +206,15 @@ class TestBruteForceOracle:
                     == mj.smooth_min(f, p, delta)
                 )
 
+    def test_numpy_integer_seed_matches_int_seed(self):
+        f = mj.shannon()
+        for seed in (3, 2**40):
+            want = mj.brute_force_extremum(f, P, 0.4, n=100, seed=seed, mode="min")
+            got = mj.brute_force_extremum(f, P, 0.4, n=100, seed=np.int64(seed), mode="min")
+            assert got == want
+        want = mj.direction_violations(f, 50, seed=3)
+        assert mj.direction_violations(f, 50, seed=np.int64(3)) == want
+
     def test_argument_validation(self):
         f = mj.shannon()
         with pytest.raises(ValueError):
