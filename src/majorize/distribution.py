@@ -39,6 +39,16 @@ def _as_generator(seed: SeedLike) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _dirichlet(rng: np.random.Generator, shape: int | tuple[int, int]) -> np.ndarray:
+    """rng.dirichlet(np.ones(k), size=n) bit for bit, in the same generator state.
+
+    All-ones alpha makes numpy's gammas standard exponentials, which it scales
+    by one over their sequential sum (Devroye 1986, ch. XI).
+    """
+    e = rng.standard_exponential(shape)
+    return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
+
+
 def check_delta(delta: float) -> float:
     """Validate a smoothing radius against [0, 2] and return it as float."""
     delta = float(delta)
@@ -66,17 +76,19 @@ class Distribution:
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
-        perm = np.ascontiguousarray(self.perm, dtype=np.intp)
+        perm = np.asarray(self.perm)
         if values.ndim != 1 or values.size == 0:
             raise EmptyInputError("distribution needs at least one entry")
         if values[-1] < 0.0 or not np.all(values[:-1] >= values[1:]):
             raise ValueError("values must be non-increasing and nonnegative")
         if abs(float(values.sum()) - 1.0) > _STRUCT_TOL:
             raise NotNormalizedError(f"values sum to {values.sum()!r}")
-        if perm.shape != values.shape or not np.array_equal(
+        # dtype first: the intp cast would truncate a float or boolean perm
+        if perm.dtype.kind not in "iu" or perm.shape != values.shape or not np.array_equal(
             np.sort(perm), np.arange(values.size)
         ):
             raise ValueError("perm is not a permutation of 0..k-1")
+        perm = np.ascontiguousarray(perm, dtype=np.intp)
         values.setflags(write=False)
         perm.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -252,8 +264,7 @@ def sample_delta_ball(p: Distribution, delta: float, seed: SeedLike) -> Distribu
     """
     delta = check_delta(delta)
     rng = _as_generator(seed)
-    u = rng.dirichlet(np.ones(p.k))
-    step = u - p.values
+    step = _dirichlet(rng, p.k) - p.values
     width = float(np.abs(step).sum())
     t = 1.0 if width <= delta else (delta / width) * (1.0 - 1e-12)
     vals = p.values + t * step
@@ -267,25 +278,22 @@ def sample_delta_ball(p: Distribution, delta: float, seed: SeedLike) -> Distribu
         vals = p.values + t * step
     else:
         vals = p.values.copy()
-    vals = np.where(vals > 0.0, vals, 0.0)
-    order = np.argsort(-vals, kind="stable")
+    vals[vals <= 0.0] = 0.0
+    order = (-vals).argsort(kind="stable")
     return _trusted(Distribution, values=vals[order], perm=order)
 
 
-def _ball_rows(
-    p: Distribution, delta: float, rng: np.random.Generator, n: int
-) -> list[Distribution]:
-    """n draws of sample_delta_ball(p, delta, rng) as one (n, k) pass.
+def _ball_rows(p: Distribution, delta: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Values of n draws of sample_delta_ball(p, delta, rng) as one (n, k) block.
 
-    Row r is bit-identical to the r-th of n sequential calls on the same
-    generator, which is left in the same state: the Dirichlet draws come
-    from one call in the same order, and every other step is the per-call
-    arithmetic row by row; each row is a read-only view into the block.
-    `delta` must already be checked.
+    Row r holds the canonical values of the r-th of n sequential calls on
+    the same generator, bit for bit, and the generator is left in the same
+    state: the Dirichlet draws come from one call in the same order, and
+    every other step is the per-call arithmetic row by row. The rows carry
+    no perm; the block is read-only. `delta` must already be checked.
     """
     base = p.values
-    u = rng.dirichlet(np.ones(p.k), size=n)
-    step = u - base
+    step = _dirichlet(rng, (n, p.k)) - base
     width = np.abs(step).sum(axis=1)
     inside = width <= delta
     t = np.ones(n)
@@ -304,10 +312,10 @@ def _ball_rows(
         vals[over] = base + t[over, None] * step[over]
     else:
         vals[over] = base
-    vals = np.where(vals > 0.0, vals, 0.0)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    return [_trusted(Distribution, values=v, perm=o) for v, o in zip(vals, order)]
+    vals[vals <= 0.0] = 0.0
+    vals = -np.sort(-vals, axis=1)
+    vals.setflags(write=False)
+    return vals
 
 
 def sample_majorized_pair(k: int, seed: SeedLike) -> tuple[Distribution, Distribution]:
@@ -320,12 +328,11 @@ def sample_majorized_pair(k: int, seed: SeedLike) -> tuple[Distribution, Distrib
     if k < 1:
         raise ZeroDimensionError("k must be >= 1")
     rng = _as_generator(seed)
-    p_raw = rng.dirichlet(np.ones(k))
+    p_raw = _dirichlet(rng, k)
     order = np.argsort(-p_raw, kind="stable")
     p = _trusted(Distribution, values=p_raw[order], perm=order)
 
-    n_parts = k + 1
-    weights = rng.dirichlet(np.ones(n_parts))
+    weights = _dirichlet(rng, k + 1)
     q_raw = weights[0] * p.values
     for w in weights[1:]:
         q_raw = q_raw + w * p.values[rng.permutation(k)]

@@ -23,7 +23,6 @@ from .distribution import (
     LorenzCurve,
     _trusted,
     check_delta,
-    l1_distance,
     lorenz,
     point_mass,
     uniform,
@@ -93,9 +92,11 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     """
     delta = check_delta(delta)
     k = p.k
-    top = point_mass(k)
-    if l1_distance(p, top) <= delta:
-        return SmoothedResult(top, "steepest", delta, True)
+    # l1 distance to the point mass, summed as l1_distance sums it
+    gap = p.values.copy()
+    gap[0] = 1.0 - gap[0]
+    if float(gap.sum()) <= delta:
+        return SmoothedResult(point_mass(k), "steepest", delta, True)
     if delta == 0.0:
         return SmoothedResult(p, "steepest", delta, False, SteepestMeta(k, 0.0))
     half = delta / 2.0
@@ -105,7 +106,7 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     if keep.size == 0:
         # float disagreement between the distance check and p1 + half >= 1;
         # only reachable within ulps of the clamp boundary
-        return SmoothedResult(top, "steepest", delta, True)
+        return SmoothedResult(point_mass(k), "steepest", delta, True)
     head = int(keep[-1]) + 1
     vals = np.zeros(k)
     vals[:head] = p.values[:head]
@@ -138,9 +139,8 @@ def flattest(
     """
     delta = check_delta(delta)
     k = p.k
-    flat = uniform(k)
-    if l1_distance(p, flat) <= delta:
-        return SmoothedResult(flat, "flattest", delta, True)
+    if float(np.abs(p.values - 1.0 / k).sum()) <= delta:
+        return SmoothedResult(uniform(k), "flattest", delta, True)
     half = delta / 2.0
     if half == 0.0:  # covers subnormal delta whose half underflows
         v = p.values
@@ -155,7 +155,7 @@ def flattest(
     lower_level, lower_start = solve_lower_level(p, half, tau=tau)
     if upper_level <= lower_level:
         # only reachable within ulps of the uniform clamp boundary
-        return SmoothedResult(flat, "flattest", delta, True)
+        return SmoothedResult(uniform(k), "flattest", delta, True)
     vals = np.clip(p.values, lower_level, upper_level)
     meta = FlattestMeta(upper_level, lower_level, upper_count, lower_start)
     result = _trusted(Distribution, values=vals, perm=p.perm)

@@ -10,3 +10,12 @@ def random_distribution(rng: np.random.Generator, k: int | None = None,
         k = int(rng.integers(kmin, kmax + 1))
     alpha = float(rng.uniform(0.3, 3.0))
     return mj.make_distribution(rng.dirichlet(np.full(k, alpha)), "renormalize")
+
+
+def ball_bases(k: int) -> dict[str, mj.Distribution]:
+    """A random base plus one with tied and zero entries (where k allows)."""
+    bases = {"random": random_distribution(np.random.default_rng(k), k=k)}
+    if k > 1:
+        raw = np.resize([3.0, 3.0, 1.0, 0.0], k)
+        bases["tied"] = mj.make_distribution(raw, "renormalize")
+    return bases

@@ -11,9 +11,9 @@ from majorize.errors import (
     ZeroDimensionError,
     ZeroSumError,
 )
-from majorize.distribution import _ball_rows
+from majorize.distribution import _ball_rows, _dirichlet
 
-from conftest import random_distribution
+from conftest import ball_bases, random_distribution
 
 
 class TestMakeDistribution:
@@ -181,22 +181,12 @@ class TestSampleDeltaBall:
             mj.sample_delta_ball(p, 2.5, 0)
 
 
-def _ball_bases(k: int) -> list[mj.Distribution]:
-    """A random base plus one with tied and zero entries (where k allows)."""
-    rng = np.random.default_rng(k)
-    bases = [random_distribution(rng, k=k)]
-    if k > 1:
-        raw = np.resize([3.0, 3.0, 1.0, 0.0], k)
-        bases.append(mj.make_distribution(raw, "renormalize"))
-    return bases
-
-
 class TestBallRows:
     @pytest.mark.parametrize("k", [1, 2, 8, 128])
     def test_rows_equal_sequential_draws(self, k):
         # the block sampler must reproduce sample_delta_ball bit for bit and
         # leave the generator where n sequential calls would leave it
-        for b, p in enumerate(_ball_bases(k)):
+        for b, p in enumerate(ball_bases(k).values()):
             for delta in (0.0, 1e-13, 0.4, 2.0):
                 for n in (1, 63, 64, 65, 500):
                     seed = 1000 * k + 100 * b + n
@@ -204,12 +194,29 @@ class TestBallRows:
                     rows = _ball_rows(p, delta, block_rng, n)
                     call_rng = np.random.default_rng(seed)
                     want = [mj.sample_delta_ball(p, delta, call_rng) for _ in range(n)]
-                    assert len(rows) == n
+                    assert rows.shape == (n, k)
                     for got, exp in zip(rows, want):
-                        assert got.values.tobytes() == exp.values.tobytes()
-                        assert got.perm.tobytes() == exp.perm.tobytes()
-                        assert not got.values.flags.writeable
+                        assert got.tobytes() == exp.values.tobytes()
                     assert block_rng.random() == call_rng.random()
+
+    def test_block_is_write_locked(self):
+        rows = _ball_rows(mj.uniform(3), 0.5, np.random.default_rng(0), 4)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
+
+class TestDirichlet:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 64, 129, 1000])
+    def test_matches_numpy_dirichlet_with_ones(self, k):
+        # the helper leans on how numpy draws all-ones Dirichlet vectors; a
+        # numpy release that changes that must fail here, not shift samples
+        for n in (None, 5):
+            ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+            got = _dirichlet(ours, k if n is None else (n, k))
+            want = theirs.dirichlet(np.ones(k), size=n)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def _sweep_inputs(rng):
@@ -265,7 +272,7 @@ class TestLibraryBuiltObjectsAreCanonical:
                 self._check(mj.lorenz_flattest(p, delta))
                 self._check(mj.sample_delta_ball(p, delta, rng))
                 for row in _ball_rows(p, delta, rng, 3):
-                    self._check(row)
+                    mj.Distribution(row.copy(), np.arange(k))
 
 
 class TestSampleMajorizedPair:
@@ -295,3 +302,10 @@ def test_distribution_constructor_rejects_unsorted():
 def test_distribution_constructor_rejects_bad_perm():
     with pytest.raises(ValueError):
         mj.Distribution(np.array([0.7, 0.3]), np.array([0, 0]))
+
+
+@pytest.mark.parametrize("perm", [[0.9, 1.7], [0.0, 1.0], [True, False]])
+def test_distribution_constructor_rejects_non_integer_perm(perm):
+    # casting to intp would truncate these into a valid-looking permutation
+    with pytest.raises(ValueError):
+        mj.Distribution(np.array([0.7, 0.3]), np.array(perm))

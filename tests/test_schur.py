@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import majorize as mj
+from majorize.distribution import _ball_rows
 from majorize.errors import (
     AlphaOutOfRangeError,
     InvalidDeltaError,
@@ -11,10 +12,44 @@ from majorize.errors import (
     UnknownFunctionError,
 )
 
-from conftest import random_distribution
+from conftest import ball_bases, random_distribution
 
 
 P = mj.make_distribution([0.6, 0.3, 0.1])
+
+# brute_force_extremum(f, ball_bases(k)[base], delta, n=100, seed=i, mode)
+# of the i-th entry, as float.hex, recorded from the per-row oracle that the
+# block-scored one must reproduce
+FROZEN_ORACLE = [
+    ("shannon", "max", 1, "random", 0.0, "-0x0.0p+0"),
+    ("renyi:0", "max", 1, "random", 1e-13, "0x0.0p+0"),
+    ("renyi:0.5", "max", 1, "random", 0.4, "0x0.0p+0"),
+    ("renyi:2", "max", 1, "random", 2.0, "0x1.71547652b82fep-52"),
+    ("renyi:inf", "max", 2, "random", 0.0, "0x1.aad429aa45297p-3"),
+    ("sum_powers:2", "max", 2, "tied", 0.0, "0x1.0000000000000p-1"),
+    ("shannon", "min", 2, "random", 1e-13, "0x1.23ad3649c01ecp-1"),
+    ("renyi:0", "min", 2, "tied", 1e-13, "0x1.0000000000000p+0"),
+    ("renyi:0.5", "min", 2, "random", 0.4, "0x0.0p+0"),
+    ("renyi:2", "min", 2, "tied", 0.4, "0x1.925e3bc77e8b2p-1"),
+    ("renyi:inf", "min", 2, "random", 2.0, "-0x0.0p+0"),
+    ("sum_powers:2", "min", 2, "tied", 2.0, "0x1.0000000000000p-1"),
+    ("shannon", "max", 8, "random", 0.0, "0x1.4dd3231fa2f53p+1"),
+    ("renyi:0", "max", 8, "tied", 0.0, "0x1.4ae00d1cfdeb4p+1"),
+    ("renyi:0.5", "max", 8, "random", 1e-13, "0x1.627ed2dc0c6edp+1"),
+    ("renyi:2", "max", 8, "tied", 1e-13, "0x1.2ef2b9317e340p+1"),
+    ("renyi:inf", "max", 8, "random", 0.4, "0x1.517bd0070ceb1p+1"),
+    ("sum_powers:2", "max", 8, "tied", 0.4, "0x1.2714456197edap-2"),
+    ("shannon", "min", 8, "random", 2.0, "-0x0.0p+0"),
+    ("renyi:0", "min", 8, "tied", 2.0, "0x0.0p+0"),
+    ("renyi:0.5", "min", 128, "random", 0.0, "0x1.b391707497888p+2"),
+    ("renyi:2", "min", 128, "tied", 0.0, "0x1.97795c98bf0eep+2"),
+    ("renyi:inf", "min", 128, "random", 1e-13, "0x1.4e2b81a06090fp+2"),
+    ("sum_powers:2", "min", 128, "tied", 1e-13, "0x1.8d0fac687d322p-7"),
+    ("shannon", "max", 128, "random", 0.4, "0x1.bec8f3a7b5f00p+2"),
+    ("renyi:0", "max", 128, "tied", 0.4, "0x1.c000000000000p+2"),
+    ("renyi:0.5", "max", 128, "random", 2.0, "0x1.c000000000000p+2"),
+    ("renyi:2", "max", 128, "tied", 2.0, "0x1.c000000000000p+2"),
+]
 
 
 class TestEntropyFamilies:
@@ -70,6 +105,16 @@ class TestEntropyFamilies:
         assert mj.renyi_entropy(math.inf)(p) <= value <= mj.renyi_entropy(2.0)(p)
         # (2000 * log2(0.5) + log2(1 + 0.6**2000 + 0.4**2000)) / (1 - 2000)
         assert value == pytest.approx(2000.0 / 1999.0, rel=1e-12)
+
+    def test_outer_logs_are_math_log(self):
+        # np.log rounds this p1 one ulp away from math.log on common builds;
+        # f(p) and each block row must keep the math.log value
+        x = 0.8124704808339918
+        p = mj.Distribution(np.array([x, 1.0 - x]), np.array([0, 1]))
+        f = mj.renyi_entropy(math.inf)
+        want = -math.log(x) / math.log(2.0)
+        assert f(p) == want
+        assert f.fn(np.vstack([p.values, p.values])).tolist() == [want, want]
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(NegativeAlphaError):
@@ -214,6 +259,27 @@ class TestBruteForceOracle:
             assert got == want
         want = mj.direction_violations(f, 50, seed=3)
         assert mj.direction_violations(f, 50, seed=np.int64(3)) == want
+
+    def test_frozen_values(self):
+        fns = {f.name: f for f in mj.default_functions()}
+        for i, (name, mode, k, base, delta, want) in enumerate(FROZEN_ORACLE):
+            p = ball_bases(k)[base]
+            got = mj.brute_force_extremum(fns[name], p, delta, n=100, seed=i, mode=mode)
+            assert got.hex() == want, (i, name, mode, k, base, delta)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 64, 129])
+    def test_block_scores_equal_per_row_calls(self, k):
+        # one fn call over a block scores each row as f does on that row alone
+        rng = np.random.default_rng(k)
+        for p in ball_bases(k).values():
+            for delta in (0.0, 1e-13, 0.4, 2.0):
+                block = _ball_rows(p, delta, rng, 65)
+                for f in mj.default_functions():
+                    scores = f.fn(block)
+                    assert scores.shape == (65,)
+                    for r, row in enumerate(block):
+                        d = mj.Distribution(row.copy(), np.arange(k))
+                        assert f(d) == scores[r], (f.name, delta, r)
 
     def test_argument_validation(self):
         f = mj.shannon()
