@@ -23,12 +23,11 @@ def _prefix_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     The one prefix-sum kernel behind every order predicate and the
     distance; p majorizes q at tolerance tau exactly when no entry
-    exceeds tau. Either side may be an (n, k) block of rows; the sums
-    run along the last axis.
+    exceeds tau.
     """
-    if p.shape[-1] != q.shape[-1]:
-        raise DimensionMismatchError(f"k mismatch: {p.shape[-1]} vs {q.shape[-1]}")
-    return np.cumsum(q - p, axis=-1)
+    if p.size != q.size:
+        raise DimensionMismatchError(f"k mismatch: {p.size} vs {q.size}")
+    return np.cumsum(q - p)
 
 
 def weakly_majorizes(p: ArrayLike, q: ArrayLike, *, tau: float = DEFAULT_TAU) -> bool:

@@ -25,7 +25,6 @@ from .distribution import (
     sample_majorized_pair,
 )
 from .errors import AlphaOutOfRangeError, NegativeAlphaError, UnknownFunctionError
-from .order import _prefix_gap
 from .smoothing import flattest, steepest
 
 SCHUR_CONVEX = "schur_convex"
@@ -34,12 +33,6 @@ SCHUR_CONCAVE = "schur_concave"
 # Oracle samples per vectorized block; larger blocks gain little speed and
 # raise peak memory.
 _ORACLE_BLOCK = 64
-
-# Slack per entry, in units of eps, when the oracle asks whether a candidate
-# lies between the two extremal points in the majorization order: the rows,
-# the extremal points and their prefix sums each round by a few eps per
-# entry, so an order violation that small cannot be told from rounding.
-_ORDER_SLACK_EPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -183,16 +176,6 @@ def brute_force_extremum(
     fall short of the true extremum, but the extremal points are in the
     candidate set, so the result matches the closed form exactly.
 
-    In floats a candidate can still score past the extremal point that
-    f's declared direction names, by rounding alone in f or in its own
-    mass; at tiny delta even the other extremal point can. A candidate
-    that the steepest point majorizes and that majorizes the flattest
-    one (prefix sums within a few eps per entry) cannot beat that point
-    in exact arithmetic, so such a lead is dropped as noise. A row
-    outside that band keeps its score, so an extremal point that some
-    row truly beats still shows. The direction is trusted here as in
-    smooth_max; direction_violations is the check of it.
-
     The samples are drawn and scored in blocks of at most 64 rows: each
     block is one (n, k) array of canonical values, bit-identical to as
     many sample_delta_ball calls on the same generator, reduced by one
@@ -204,32 +187,14 @@ def brute_force_extremum(
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     pick = max if mode == "max" else min
-    past = np.greater if mode == "max" else np.less
     rng = _as_generator(seed)
-    top = steepest(p, delta).result.values
-    bottom = flattest(p, delta).result.values
-    ends = np.stack([top, bottom])
-    end_scores = f.fn(ends)
-    bound = end_scores[0 if _extremal_argument(f.direction, mode) == "steepest" else 1]
-    slack = _ORDER_SLACK_EPS * p.k * np.finfo(np.float64).eps
-
-    def kept(rows: np.ndarray, scores: np.ndarray) -> list[float]:
-        lead = np.flatnonzero(past(scores, bound))
-        if lead.size:
-            r = rows[lead]
-            between = (_prefix_gap(top, r).max(axis=-1) <= slack) & (
-                _prefix_gap(r, bottom).max(axis=-1) <= slack
-            )
-            scores = np.delete(scores, lead[between])
-        return scores.tolist()
-
     best = []
     for start in range(0, n, _ORACLE_BLOCK):
-        rows = _ball_rows(p, delta, rng, min(_ORACLE_BLOCK, n - start))
-        scores = kept(rows, f.fn(rows))
-        if scores:
-            best.append(pick(scores))
-    return pick(best + kept(ends, end_scores))
+        scores = f.fn(_ball_rows(p, delta, rng, min(_ORACLE_BLOCK, n - start)))
+        best.append(pick(scores.tolist()))
+    best.append(f(steepest(p, delta).result))
+    best.append(f(flattest(p, delta).result))
+    return pick(best)
 
 
 def direction_violations(f: SchurFunction, trials: int, seed: SeedLike) -> int:
