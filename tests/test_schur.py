@@ -260,6 +260,14 @@ class TestBruteForceOracle:
         want = mj.direction_violations(f, 50, seed=3)
         assert mj.direction_violations(f, 50, seed=np.int64(3)) == want
 
+    def test_misdeclared_direction_shows_against_the_closed_form(self):
+        # Shannon declared convex: smooth_max evaluates the steepest point,
+        # but the flattest point in the oracle's candidates scores higher
+        f = mj.SchurFunction("x", mj.SCHUR_CONVEX, mj.shannon().fn)
+        got = mj.brute_force_extremum(f, P, 0.4, n=50, seed=0, mode="max")
+        assert got == f(mj.flattest(P, 0.4).result)
+        assert got > mj.smooth_max(f, P, 0.4)
+
     def test_frozen_values(self):
         fns = {f.name: f for f in mj.default_functions()}
         for i, (name, mode, k, base, delta, want) in enumerate(FROZEN_ORACLE):
