@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Union
-
-import numpy as np
+from typing import Union
 
 from .config import Config
 from .distribution import Distribution, LorenzCurve, make_distribution
@@ -83,13 +81,6 @@ def read_distribution(path: PathLike, config: Config = Config()) -> Distribution
     return make_distribution(values, config.input_policy, tau_norm=config.tau_norm)
 
 
-def distribution_to_json(p: Distribution, label: Optional[str] = None) -> dict:
-    obj: dict = {"values": [round_float(v) for v in p.values]}
-    if label is not None:
-        obj["label"] = label
-    return obj
-
-
 def smoothed_result_to_json(sr: SmoothedResult) -> dict:
     """SmoothedResult as {"kind","delta","clamped","values","meta"}.
 
@@ -107,11 +98,12 @@ def smoothed_result_to_json(sr: SmoothedResult) -> dict:
 
 
 def transfer_plan_to_json(plan: TransferPlan) -> dict:
+    """Plan as {"steps": [{"i","j","t"}, ...], "k"}: O(k), no matrix."""
     return {
         "steps": [
             {"i": s.i, "j": s.j, "t": round_float(s.t)} for s in plan.steps
         ],
-        "matrix": [[round_float(x) for x in row] for row in plan.matrix],
+        "k": plan.k,
     }
 
 
@@ -120,10 +112,9 @@ def transfer_plan_from_json(obj: dict) -> TransferPlan:
         steps = tuple(
             TTransform(int(s["i"]), int(s["j"]), float(s["t"])) for s in obj["steps"]
         )
-        matrix = np.asarray(obj["matrix"], dtype=np.float64)
+        return TransferPlan(steps, int(obj["k"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed transfer plan: {exc}") from exc
-    return TransferPlan(steps, matrix)
 
 
 def lorenz_to_csv(curve: LorenzCurve) -> str:

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,12 +72,24 @@ def majorization_distance(p: Distribution, q: Distribution) -> float:
     return max(0.0, 2.0 * float(_prefix_gap(p.values, q.values).max()))
 
 
+def _mix(values, i: int, j: int, t: float) -> None:
+    """Replace entries i and j of values, in place, by their t-interpolations.
+
+    The one two-entry kernel behind every T-transform: on a vector it moves
+    mass t * (values[i] - values[j]) from i to j, and on a matrix it mixes
+    rows i and j. Both new entries are computed before either is stored.
+    """
+    ci, cj = values[i], values[j]
+    values[i], values[j] = (1.0 - t) * ci + t * cj, t * ci + (1.0 - t) * cj
+
+
 @dataclass(frozen=True)
 class TTransform:
     """One Robin Hood step: move mass t * (c[i] - c[j]) from entry i to j.
 
     Equivalent to replacing (c[i], c[j]) with their t-interpolation toward
-    the common mean; t lies in [0, 1/2] so the pair keeps its order.
+    the common mean. The validator checks i != j and t in [0, 1]; plans
+    use t <= 1/2, so the pair keeps its order.
     """
 
     i: int
@@ -91,57 +104,52 @@ class TTransform:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = values.copy()
-        ci, cj = out[self.i], out[self.j]
-        out[self.i] = (1.0 - self.t) * ci + self.t * cj
-        out[self.j] = self.t * ci + (1.0 - self.t) * cj
+        _mix(out, self.i, self.j, self.t)
         return out
-
-    def matrix(self, k: int) -> np.ndarray:
-        m = np.eye(k)
-        m[self.i, self.i] = m[self.j, self.j] = 1.0 - self.t
-        m[self.i, self.j] = m[self.j, self.i] = self.t
-        return m
 
 
 @dataclass(frozen=True)
 class TransferPlan:
-    """A sequence of T-transforms carrying p onto q, with their product.
+    """A sequence of T-transforms on k coordinates carrying p onto q.
 
-    The product matrix is doubly stochastic; validation allows slack 1e-9
-    on row and column sums.
+    The steps are the plan: apply runs them in O(k + steps). Their product
+    matrix, doubly stochastic by construction, is built on first read.
     """
 
     steps: tuple[TTransform, ...]
-    matrix: np.ndarray = field(repr=False)
+    k: int
 
     def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if m.size == 0:
-            raise EmptyInputError("matrix must be nonempty")
-        if float(m.min()) < -1e-9:
-            raise ValueError("matrix entries must be nonnegative")
-        if np.abs(m.sum(axis=0) - 1.0).max() > 1e-9 or (
-            np.abs(m.sum(axis=1) - 1.0).max() > 1e-9
-        ):
-            raise ValueError("matrix must be doubly stochastic")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "steps", tuple(self.steps))
+        if self.k < 1:
+            raise ValueError(f"plan needs k >= 1, got {self.k}")
+        for s in self.steps:
+            if not (0 <= s.i < self.k and 0 <= s.j < self.k):
+                raise ValueError(f"step ({s.i}, {s.j}) out of range for k={self.k}")
 
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The k x k product of the steps, write-locked; O(k^2) memory."""
+        m = np.eye(self.k)
+        for s in self.steps:
+            _mix(m, s.i, s.j, s.t)
+        m.setflags(write=False)
+        return m
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(values, dtype=np.float64)
+    def apply(self, values: ArrayLike) -> np.ndarray:
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.shape != (self.k,):
+            raise DimensionMismatchError(f"expected {self.k} values, got shape {arr.shape}")
+        out = arr.tolist()
+        for s in self.steps:
+            _mix(out, s.i, s.j, s.t)
+        return np.array(out)
 
 
 def transfer_plan(
     p: Distribution, q: Distribution, *, tau: float = DEFAULT_TAU
 ) -> TransferPlan:
-    """Construct at most k-1 T-transforms carrying p onto q, in O(k^2).
+    """Construct at most k-1 T-transforms carrying p onto q, in O(k).
 
     Classic Robin Hood argument: while the current vector differs from q,
     transfer mass from the first coordinate holding surplus to the first
@@ -150,12 +158,11 @@ def transfer_plan(
     fixes at least one coordinate for good, and finished coordinates are
     never touched again, which bounds the step count by k - 1.
 
-    A step changes only its two coordinates and pins one of them, so the
-    surplus and deficit cursors only move forward, and it changes only two
-    rows of the product matrix: O(k) per step. A deficit ahead of the first
-    surplus whose prefix gap is within tau is float noise that majorizes
-    accepted, so it is passed over; the final 1e-9 reach check bounds what
-    it leaves.
+    A step changes only its two coordinates, in place, and pins one of
+    them, so the surplus and deficit cursors only move forward: one pass
+    after the majorizes gate. A deficit ahead of the first surplus whose
+    prefix gap is within tau is float noise that majorizes accepted, so it
+    is passed over; the final 1e-9 reach check bounds what it leaves.
 
     Raises NotMajorizedError unless p majorizes q at tolerance tau.
     """
@@ -163,15 +170,16 @@ def transfer_plan(
         raise NotMajorizedError("p does not majorize q")
 
     k = p.k
-    current = p.values.copy()
-    target = q.values
+    # Python floats: the sweep touches single entries, where list indexing
+    # beats numpy scalars, and the float arithmetic is the same
+    current = p.values.tolist()
+    target = q.values.tolist()
     steps: list[TTransform] = []
-    matrix = np.eye(k)
     # residual differences below this are float noise, not real mass
     eps = 1e-12
     # a deficit ahead of the first surplus is float noise when its prefix
     # gap is within tau, the slack majorizes granted
-    noise = _prefix_gap(p.values, target) <= tau
+    noise = (_prefix_gap(p.values, q.values) <= tau).tolist()
     i = j = 0
 
     for _ in range(k - 1):
@@ -189,19 +197,15 @@ def transfer_plan(
         amount = min(give, need)
         gap = current[i] - current[j]
         # gap >= amount > 0: prefix dominance keeps donor above recipient
-        t = amount / gap
-        step = TTransform(i, j, float(min(t, 0.5)))
-        steps.append(step)
-        current = step.apply(current)
+        t = min(amount / gap, 0.5)
+        steps.append(TTransform(i, j, t))
+        _mix(current, i, j, t)
         # pin the finished coordinate to kill accumulated rounding
         if give <= need:
             current[i] = target[i]
         if need <= give:
             current[j] = target[j]
-        row_i = matrix[i].copy()
-        matrix[i] = (1.0 - step.t) * row_i + step.t * matrix[j]
-        matrix[j] = step.t * row_i + (1.0 - step.t) * matrix[j]
 
-    if float(np.abs(current - target).max()) > 1e-9:
+    if float(np.abs(np.array(current) - q.values).max()) > 1e-9:
         raise NotMajorizedError("transfer plan failed to reach the target")
-    return TransferPlan(tuple(steps), matrix)
+    return TransferPlan(tuple(steps), k)

@@ -22,7 +22,6 @@ from .distribution import (
     _as_generator,
     _ball_rows,
     check_delta,
-    sample_majorized_pair,
 )
 from .errors import AlphaOutOfRangeError, NegativeAlphaError, UnknownFunctionError
 from .smoothing import flattest, steepest
@@ -43,8 +42,8 @@ class SchurFunction:
     normalized) values of shape (..., k) and reduces over the last axis,
     so f(p) is fn(p.values) and one call scores an (n, k) block of rows.
 
-    The direction is trusted metadata, validated statistically by
-    direction_violations in the test suite, not proven here.
+    The direction is trusted metadata, checked statistically on random
+    ordered pairs in the test suite, not proven here.
     """
 
     name: str
@@ -195,26 +194,6 @@ def brute_force_extremum(
     best.append(f(steepest(p, delta).result))
     best.append(f(flattest(p, delta).result))
     return pick(best)
-
-
-def direction_violations(f: SchurFunction, trials: int, seed: SeedLike) -> int:
-    """Count declared-direction failures on random ordered pairs.
-
-    Draws p majorizing q with k in 2..8 and checks f moves the declared
-    way (slack DEFAULT_TAU); a nonzero count means the declared direction
-    is wrong.
-    """
-    rng = _as_generator(seed)
-    bad = 0
-    for _ in range(trials):
-        k = int(rng.integers(2, 9))
-        p, q = sample_majorized_pair(k, rng)
-        fp, fq = f(p), f(q)
-        if f.direction == SCHUR_CONVEX:
-            bad += fp < fq - DEFAULT_TAU
-        else:
-            bad += fp > fq + DEFAULT_TAU
-    return bad
 
 
 def parse_function_spec(spec: str, base: float = 2.0) -> SchurFunction:

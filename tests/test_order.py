@@ -12,8 +12,9 @@ from conftest import random_distribution
 P = [0.6, 0.3, 0.1]
 Q = [0.4, 0.3, 0.3]
 
-# Plans for sample_majorized_pair(k, seed) as the O(k^4) matrix-product
-# sweep built them: (k, seed, step count, digest of the steps written as
+# Plans for sample_majorized_pair(k, seed), recorded from the first
+# (matrix-product) sweep, which the in-place sweep and the on-demand matrix
+# rebuild bit for bit: (k, seed, step count, digest of the steps written as
 # "i,j,t.hex()" joined by ";", digest of the matrix bytes). Digests are the
 # first 16 hex digits of sha256.
 FROZEN_PLANS = [
@@ -180,11 +181,6 @@ class TestTTransform:
         assert out == pytest.approx([0.4, 0.2, 0.4], abs=1e-15)
         assert x[0] == 0.7  # input untouched
 
-    def test_matrix_agrees_with_apply(self):
-        x = np.array([0.7, 0.2, 0.1])
-        step = mj.TTransform(0, 2, 0.25)
-        assert step.matrix(3) @ x == pytest.approx(step.apply(x), abs=1e-15)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             mj.TTransform(1, 1, 0.5)
@@ -271,6 +267,47 @@ class TestTransferPlan:
         with pytest.raises(NotMajorizedError):
             mj.transfer_plan(a, b)
 
-    def test_plan_validation(self):
+    def test_matrix_agrees_with_apply(self):
+        rng = np.random.default_rng(9)
+        for k in (2, 3, 8, 40):
+            p, q = mj.sample_majorized_pair(k, rng)
+            plan = mj.transfer_plan(p, q)
+            for x in (p.values, rng.standard_normal(k)):
+                assert np.abs(plan.matrix @ x - plan.apply(x)).max() <= 1e-12
+
+    def test_matrix_is_cached_and_write_locked(self):
+        plan = mj.transfer_plan(mj.make_distribution(P), mj.make_distribution(Q))
+        assert plan.matrix is plan.matrix
         with pytest.raises(ValueError):
-            mj.TransferPlan(steps=(), matrix=np.array([[1.0, 0.1], [0.0, 1.0]]))
+            plan.matrix[0, 0] = 2.0
+
+    def test_plan_validation(self):
+        step = mj.TTransform(0, 1, 0.5)
+        assert mj.TransferPlan((step,), 2).k == 2
+        for bad in (mj.TTransform(0, 2, 0.5), mj.TTransform(5, 1, 0.5),
+                    mj.TTransform(-1, 1, 0.5), mj.TTransform(0, -1, 0.5)):
+            with pytest.raises(ValueError):
+                mj.TransferPlan((bad,), 2)
+        with pytest.raises(ValueError):
+            mj.TransferPlan((), 0)
+
+    def test_apply_checks_length(self):
+        plan = mj.TransferPlan((mj.TTransform(0, 1, 0.5),), 2)
+        with pytest.raises(DimensionMismatchError):
+            plan.apply([0.5, 0.3, 0.2])
+        assert plan.apply([1.0, 0.0]).tolist() == [0.5, 0.5]
+
+    def test_plan_at_k_1e5(self):
+        # p mixed with permutations of itself is majorized by p; the O(k^2)
+        # sample_majorized_pair and the dense matrix stay out of this test
+        k = 10**5
+        rng = np.random.default_rng(11)
+        p = mj.make_distribution(rng.dirichlet(np.ones(k)), "renormalize")
+        weights = rng.dirichlet(np.ones(4))
+        vals = weights[0] * p.values
+        for w in weights[1:]:
+            vals = vals + w * p.values[rng.permutation(k)]
+        q = mj.make_distribution(vals, "renormalize")
+        plan = mj.transfer_plan(p, q)
+        assert len(plan.steps) <= k - 1
+        assert np.abs(plan.apply(p.values) - q.values).max() <= 1e-9
