@@ -108,11 +108,20 @@ def transfer_plan_to_json(plan: TransferPlan) -> dict:
 
 
 def transfer_plan_from_json(obj: dict) -> TransferPlan:
+    """Inverse of transfer_plan_to_json; i, j and k must be JSON integers."""
+
+    def field(x: object, *types: type) -> object:
+        # exact types: a JSON boolean is an int subclass, and int() would
+        # truncate 1.9 or parse "1"
+        _require(type(x) in types, f"malformed transfer plan: {x!r} is not {types[-1].__name__}")
+        return x
+
     try:
         steps = tuple(
-            TTransform(int(s["i"]), int(s["j"]), float(s["t"])) for s in obj["steps"]
+            TTransform(field(s["i"], int), field(s["j"], int), float(field(s["t"], int, float)))
+            for s in obj["steps"]
         )
-        return TransferPlan(steps, int(obj["k"]))
+        return TransferPlan(steps, field(obj["k"], int))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"malformed transfer plan: {exc}") from exc
 

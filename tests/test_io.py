@@ -161,10 +161,12 @@ class TestTransferPlanJson:
         assert back.matrix == pytest.approx(plan.matrix, abs=1e-12)
 
     def test_malformed(self):
-        bad_steps = [[{"i": 0}]] + [
-            [{"i": i, "j": j, "t": 0.5}] for i, j in ((5, 1), (0, 2), (-1, 1), (0, -1))
+        bad_steps = [[{"i": 0}], [{"i": 0, "j": 1, "t": "0.5"}]] + [
+            [{"i": i, "j": j, "t": 0.5}]
+            for i, j in ((5, 1), (0, 2), (-1, 1), (0, -1), (0, 1.9), (True, 0), ("1", 0))
         ]
         objs = [{"k": 2}, {"steps": [{"i": 0, "j": 1, "t": 0.5}]}, {"steps": [], "k": 0}]
+        objs += [{"steps": [], "k": k} for k in (2.9, "2", True)]
         objs += [{"steps": steps, "k": 2} for steps in bad_steps]
         for obj in objs:
             with pytest.raises(FileFormatError):
