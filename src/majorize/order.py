@@ -88,8 +88,9 @@ class TTransform:
     """One Robin Hood step: move mass t * (c[i] - c[j]) from entry i to j.
 
     Equivalent to replacing (c[i], c[j]) with their t-interpolation toward
-    the common mean. The validator checks i != j and t in [0, 1]; plans
-    use t <= 1/2, so the pair keeps its order.
+    the common mean. The validator checks that i and j are distinct
+    integers and t lies in [0, 1]; plans use t <= 1/2, so the pair keeps
+    its order.
     """
 
     i: int
@@ -97,6 +98,8 @@ class TTransform:
     t: float
 
     def __post_init__(self) -> None:
+        if not all(isinstance(x, (int, np.integer)) for x in (self.i, self.j)):
+            raise ValueError(f"transfer endpoints must be integers: {self.i!r}, {self.j!r}")
         if self.i == self.j:
             raise ValueError("transfer endpoints must differ")
         if not (0.0 <= self.t <= 1.0):
@@ -121,8 +124,8 @@ class TransferPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
-        if self.k < 1:
-            raise ValueError(f"plan needs k >= 1, got {self.k}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"plan needs an integer k >= 1, got {self.k!r}")
         for s in self.steps:
             if not (0 <= s.i < self.k and 0 <= s.j < self.k):
                 raise ValueError(f"step ({s.i}, {s.j}) out of range for k={self.k}")

@@ -33,10 +33,6 @@ SCHUR_CONCAVE = "schur_concave"
 # raise peak memory.
 _ORACLE_BLOCK = 64
 
-# Largest oracle lead over the closed form taken as rounding, in units of
-# eps * max(1, |closed form|)
-_ROUNDING_EPS = 4.0
-
 
 @dataclass(frozen=True)
 class SchurFunction:
@@ -177,12 +173,7 @@ def brute_force_extremum(
 
     Independent check of smooth_max/smooth_min: sampling alone can only
     fall short of the true extremum, but the extremal points are in the
-    candidate set, so the result matches the closed form exactly. A
-    candidate that beats the closed form by at most 4 eps (relative to
-    max(1, |closed form|)) is taken as rounding, since in exact arithmetic
-    none can beat it: a row whose float mass is 1 - eps, or f rounding up
-    at a row next to the extremal point. Such a lead yields the closed
-    form; any larger one, as from a mis-declared direction, is returned.
+    candidate set, so the result matches the closed form exactly.
 
     The samples are drawn and scored in blocks of at most 64 rows: each
     block is one (n, k) array of canonical values, bit-identical to as
@@ -200,12 +191,9 @@ def brute_force_extremum(
     for start in range(0, n, _ORACLE_BLOCK):
         scores = f.fn(_ball_rows(p, delta, rng, min(_ORACLE_BLOCK, n - start)))
         best.append(pick(scores.tolist()))
-    ends = {"steepest": f(steepest(p, delta).result), "flattest": f(flattest(p, delta).result)}
-    found = pick(*best, *ends.values())
-    closed = ends[_extremal_argument(f.direction, mode)]
-    if abs(found - closed) <= _ROUNDING_EPS * np.finfo(float).eps * max(1.0, abs(closed)):
-        return closed
-    return found
+    best.append(f(steepest(p, delta).result))
+    best.append(f(flattest(p, delta).result))
+    return pick(best)
 
 
 def parse_function_spec(spec: str, base: float = 2.0) -> SchurFunction:

@@ -188,6 +188,10 @@ class TestTTransform:
             mj.TTransform(0, 1, 1.5)
         with pytest.raises(ValueError):
             mj.TTransform(0, 1, -0.1)
+        for i, j in ((0, 1.5), (0.0, 1), ("0", 1)):
+            with pytest.raises(ValueError):
+                mj.TTransform(i, j, 0.2)
+        assert mj.TTransform(np.int64(0), 1, 0.2).apply(np.array([1.0, 0.0]))[1] == 0.2
 
 
 class TestTransferPlan:
@@ -288,8 +292,10 @@ class TestTransferPlan:
                     mj.TTransform(-1, 1, 0.5), mj.TTransform(0, -1, 0.5)):
             with pytest.raises(ValueError):
                 mj.TransferPlan((bad,), 2)
-        with pytest.raises(ValueError):
-            mj.TransferPlan((), 0)
+        for k in (0, 2.0, "2", None):
+            with pytest.raises(ValueError):
+                mj.TransferPlan((), k)
+        assert mj.TransferPlan((step,), np.int64(2)).k == 2
 
     def test_apply_checks_length(self):
         plan = mj.TransferPlan((mj.TTransform(0, 1, 0.5),), 2)
