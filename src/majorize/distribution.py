@@ -49,6 +49,41 @@ def _dirichlet(rng: np.random.Generator, shape: int | tuple[int, int]) -> np.nda
     return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
 
 
+def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable descending order of a finite vector, and the vector gathered in it.
+
+    Bit for bit ``order = np.argsort(-arr, kind="stable")`` and ``arr[order]``,
+    without timsort: numpy's default argsort dispatches to SIMD code but is
+    unstable, so afterwards each run of equal values is put back in input
+    order. The gathered values are a new array the caller may write.
+    """
+    k = arr.size
+    if (arr[:-1] >= arr[1:]).all():
+        # already canonical, as all-equal vectors and canonical files are
+        return np.arange(k), arr.copy()
+    order = (-arr).argsort()
+    s = arr[order]
+    same = s[1:] == s[:-1]
+    if same.any():
+        # flag[i]: s[i] equals s[i - 1]; a run of ties spans head..last
+        flag = np.zeros(k + 1, dtype=bool)
+        flag[1:-1] = same
+        head = np.flatnonzero(flag[1:] & ~flag[:-1])
+        last = np.flatnonzero(flag[:-1] & ~flag[1:])
+        tied = np.flatnonzero(flag[1:] | flag[:-1])
+        # one sort of run-major keys (below k**2) orders each run's indices
+        base = np.repeat(head * k, last - head + 1)
+        keys = order[tied]
+        keys += base
+        keys.sort()
+        keys -= base
+        order[tied] = keys
+        # equal floats have equal bits, except 0.0 and -0.0
+        if np.signbit(s).any():
+            s[tied] = arr[keys]
+    return order, s
+
+
 def check_delta(delta: float) -> float:
     """Validate a smoothing radius against [0, 2] and return it as float."""
     delta = float(delta)
@@ -188,8 +223,11 @@ def make_distribution(
     -------
     Distribution
         Stably sorted in descending order; ties keep input order, so the
-        recorded permutation is deterministic. Stored values are divided
-        by the sum, so they sum to one at float precision.
+        recorded permutation is deterministic. The order is computed by
+        numpy's unstable (SIMD) argsort plus a repair of tied runs, and
+        equals ``np.argsort(-x, kind="stable")`` bit for bit; input that is
+        already non-increasing is not sorted at all. Stored values are
+        divided by the sum, so they sum to one at float precision.
 
     Raises
     ------
@@ -218,8 +256,9 @@ def make_distribution(
             raise NotNormalizedError(f"sum {total} overflows")
     else:
         raise ValueError(f"unknown policy: {policy!r}")
-    order = np.argsort(-arr, kind="stable")
-    return _trusted(Distribution, values=arr[order] / total, perm=order)
+    order, values = _canonical_order(arr)
+    values /= total
+    return _trusted(Distribution, values=values, perm=order)
 
 
 def uniform(k: int) -> Distribution:
@@ -279,6 +318,9 @@ def sample_delta_ball(p: Distribution, delta: float, seed: SeedLike) -> Distribu
     else:
         vals = p.values.copy()
     vals[vals <= 0.0] = 0.0
+    # timsort, not _canonical_order: the clamp makes ties common, and at the
+    # small k this sampler serves, the tie repair costs several times more
+    # (_ball_rows keeps no perm, so its value sort needs no stability at all)
     order = (-vals).argsort(kind="stable")
     return _trusted(Distribution, values=vals[order], perm=order)
 
@@ -328,13 +370,12 @@ def sample_majorized_pair(k: int, seed: SeedLike) -> tuple[Distribution, Distrib
     if k < 1:
         raise ZeroDimensionError("k must be >= 1")
     rng = _as_generator(seed)
-    p_raw = _dirichlet(rng, k)
-    order = np.argsort(-p_raw, kind="stable")
-    p = _trusted(Distribution, values=p_raw[order], perm=order)
+    order, values = _canonical_order(_dirichlet(rng, k))
+    p = _trusted(Distribution, values=values, perm=order)
 
     weights = _dirichlet(rng, k + 1)
     q_raw = weights[0] * p.values
     for w in weights[1:]:
         q_raw = q_raw + w * p.values[rng.permutation(k)]
-    q_order = np.argsort(-q_raw, kind="stable")
-    return p, _trusted(Distribution, values=q_raw[q_order], perm=q_order)
+    order, values = _canonical_order(q_raw)
+    return p, _trusted(Distribution, values=values, perm=order)

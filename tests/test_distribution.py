@@ -15,8 +15,55 @@ from majorize.distribution import _ball_rows, _dirichlet
 
 from conftest import ball_bases, random_distribution
 
+TIE_CLASSES = (
+    "random", "half_zeros", "ninety_pct_zeros", "all_equal", "sorted",
+    "one_decimal", "negative_zero", "subnormal", "tiny_negative",
+)
+TIE_CASES = [
+    (k, case, policy)
+    for k in (1, 2, 3, 8, 64, 1000, 10**5)
+    for case in TIE_CLASSES
+    for policy in ("reject", "renormalize")
+] + [(10**6, "half_zeros", "reject")]
+
+
+def _tie_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
+    """An unnormalized vector of size k with the ties, zeros or signs of `case`."""
+    x = rng.uniform(0.1, 1.0, k)
+    hit = rng.random(k) < {"half_zeros": 0.5, "ninety_pct_zeros": 0.9}.get(case, 0.3)
+    hit[0] = False  # one positive entry, so every class has a sum
+    few = rng.integers(1, 4, k)  # a few magnitudes, so each one repeats
+    if case in ("half_zeros", "ninety_pct_zeros"):
+        x[hit] = 0.0
+    elif case == "negative_zero":
+        # both zeros, which compare equal and so share one run of ties
+        x[hit] = np.where(few[hit] > 1, 0.0, -0.0)
+    elif case == "subnormal":
+        # still subnormal after dividing by a sum of up to 10**6
+        x[hit] = 2.2e-310 * few[hit]
+    elif case == "tiny_negative":
+        x[hit] = -1e-12 * few[hit]
+    elif case == "all_equal":
+        x[:] = 0.5
+    elif case == "sorted":
+        x = -np.sort(-x)
+    elif case == "one_decimal":
+        x = np.round(x, 1)
+    return x
+
 
 class TestMakeDistribution:
+    @pytest.mark.parametrize(("k", "case", "policy"), TIE_CASES)
+    def test_tie_order_matches_stable_argsort(self, k, case, policy):
+        x = _tie_class_input(case, k, np.random.default_rng(k))
+        raw = x / x.sum() if policy == "reject" else 3.0 * x
+        d = mj.make_distribution(raw, policy)
+        # the contract: a stable descending argsort of the clamped input
+        arr = np.where(raw > 0.0, raw, 0.0) if raw.min() < 0.0 else raw
+        order = np.argsort(-arr, kind="stable")
+        assert np.array_equal(d.perm, order)
+        assert d.values.tobytes() == (arr[order] / arr.sum()).tobytes()
+
     def test_sorts_descending_and_records_perm(self):
         d = mj.make_distribution([0.1, 0.6, 0.3])
         assert np.allclose(d.values, [0.6, 0.3, 0.1])
