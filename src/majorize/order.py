@@ -28,7 +28,8 @@ def _prefix_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     if p.size != q.size:
         raise DimensionMismatchError(f"k mismatch: {p.size} vs {q.size}")
-    return np.cumsum(q - p)
+    gap = q - p
+    return np.cumsum(gap, out=gap)
 
 
 def weakly_majorizes(p: ArrayLike, q: ArrayLike, *, tau: float = DEFAULT_TAU) -> bool:

@@ -100,19 +100,21 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     if delta == 0.0:
         return SmoothedResult(p, "steepest", delta, False, SteepestMeta(k, 0.0))
     half = delta / 2.0
-    prefix = np.cumsum(p.values)
-    # ulp slack keeps exact-boundary cuts (prefix + half == 1) inclusive
-    keep = np.flatnonzero(prefix <= 1.0 - half + 1e-12)
-    if keep.size == 0:
+    prefix = np.cumsum(p.values, out=gap)
+    # ulp slack keeps exact-boundary cuts (prefix + half == 1) inclusive;
+    # the prefix sums of non-negative entries never decrease
+    head = int(np.searchsorted(prefix, 1.0 - half + 1e-12, "right"))
+    if head == 0:
         # float disagreement between the distance check and p1 + half >= 1;
         # only reachable within ulps of the clamp boundary
         return SmoothedResult(point_mass(k), "steepest", delta, True)
-    head = int(keep[-1]) + 1
-    vals = np.zeros(k)
+    kept = float(prefix[head - 1])
+    vals = prefix  # the prefix sums are spent; their buffer takes the result
     vals[:head] = p.values[:head]
+    vals[head:] = 0.0
     vals[0] += half
     if head < k:
-        tail = 1.0 - (float(prefix[head - 1]) + half)
+        tail = 1.0 - (kept + half)
         # mathematically 0 <= tail <= next entry; clamp off float noise
         tail = min(max(tail, 0.0), float(p.values[head]))
         vals[head] = tail
@@ -139,16 +141,18 @@ def flattest(
     """
     delta = check_delta(delta)
     k = p.k
-    if float(np.abs(p.values - 1.0 / k).sum()) <= delta:
+    spread = p.values - 1.0 / k
+    if float(np.abs(spread, out=spread).sum()) <= delta:
         return SmoothedResult(uniform(k), "flattest", delta, True)
+    del spread  # freed before the level solves allocate theirs
     half = delta / 2.0
     if half == 0.0:  # covers subnormal delta whose half underflows
         v = p.values
         meta = FlattestMeta(
             upper_level=float(v[0]),
             lower_level=float(v[-1]),
-            upper_count=int(np.sum(v >= v[0] - tau)),
-            lower_start=k - int(np.sum(v <= v[-1] + tau)) + 1,
+            upper_count=k - _rank(v, v[0] - tau, "left"),
+            lower_start=k - _rank(v, v[-1] + tau, "right") + 1,
         )
         return SmoothedResult(p, "flattest", delta, False, meta)
     upper_level, upper_count = solve_upper_level(p, half, tau=tau)
@@ -170,12 +174,22 @@ def _water_level(v: np.ndarray, budget: float) -> float:
     segment: with the top m entries cut to level x the removal is
     (sum of top m) - m*x.
     """
-    levels = (np.cumsum(v) - budget) / np.arange(1.0, v.size + 1.0)
+    levels = np.cumsum(v)
+    levels -= budget
+    levels /= np.arange(1.0, v.size + 1.0)
     # first segment whose solved level stays above the next breakpoint
     ok = np.empty(v.size, dtype=bool)
     np.greater_equal(levels[:-1], v[1:], out=ok[:-1])
     ok[-1] = True
     return float(levels[np.argmax(ok)])
+
+
+def _rank(v: np.ndarray, x: float, side: str) -> int:
+    """How many entries of the non-increasing v are below x ("left") or at most x ("right").
+
+    One binary search of the ascending view v[::-1], which needs no copy.
+    """
+    return int(np.searchsorted(v[::-1], x, side))
 
 
 def solve_upper_level(
@@ -197,7 +211,7 @@ def solve_upper_level(
     if not 0.0 < budget <= cap + tau:
         raise BudgetOutOfRangeError(f"budget {budget} outside (0, {cap}]")
     level = _water_level(v, budget)
-    return level, int(np.sum(v >= level - tau))
+    return level, v.size - _rank(v, level - tau, "left")
 
 
 def solve_lower_level(
@@ -219,7 +233,7 @@ def solve_lower_level(
     if not 0.0 < budget <= cap + tau:
         raise BudgetOutOfRangeError(f"budget {budget} outside (0, {cap}]")
     level = -_water_level(-v[::-1], budget)
-    return level, k - int(np.sum(v <= level + tau)) + 1
+    return level, k - _rank(v, level + tau, "right") + 1
 
 
 def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:
@@ -231,8 +245,9 @@ def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:
     delta = check_delta(delta)
     cum = np.empty(p.k + 1)
     cum[0] = 0.0
-    np.cumsum(p.values, out=cum[1:])
-    cum[1:] = np.minimum(cum[1:] + delta / 2.0, 1.0)
+    prefix = np.cumsum(p.values, out=cum[1:])
+    prefix += delta / 2.0
+    np.minimum(prefix, 1.0, out=prefix)
     return _trusted(LorenzCurve, cumulative=cum)
 
 

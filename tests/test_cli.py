@@ -241,6 +241,14 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("entry", ["1" * 400, "1e400"], ids=["int_400_digits", "1e400"])
+    def test_overflowing_entry_is_exit_2(self, capsys, tmp_path, entry):
+        f = tmp_path / "p.json"
+        f.write_text(f'{{"values": [{entry}, 1]}}')
+        code, _, err = run(capsys, "check", str(f), str(f))
+        assert code == 2
+        assert err == "error: entries must be finite\n"
+
     def test_unsupported_extension(self, capsys, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text("0.5\n0.5\n")

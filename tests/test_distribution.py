@@ -17,14 +17,14 @@ from conftest import ball_bases, random_distribution
 
 TIE_CLASSES = (
     "random", "half_zeros", "ninety_pct_zeros", "all_equal", "sorted",
-    "one_decimal", "negative_zero", "subnormal", "tiny_negative",
+    "one_decimal", "negative_zero", "subnormal", "tiny_negative", "near_tie",
 )
 TIE_CASES = [
     (k, case, policy)
     for k in (1, 2, 3, 8, 64, 1000, 10**5)
     for case in TIE_CLASSES
     for policy in ("reject", "renormalize")
-] + [(10**6, "half_zeros", "reject")]
+] + [(10**6, case, "reject") for case in ("half_zeros", "random", "all_colliding")]
 
 
 def _tie_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -49,6 +49,22 @@ def _tie_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
         x = -np.sort(-x)
     elif case == "one_decimal":
         x = np.round(x, 1)
+    elif case in ("near_tie", "all_colliding"):
+        # values that differ only below bit 12, under the index width of the
+        # packed sort keys once k > 2**11, and some exact ties among them;
+        # with a single base every entry shares one block of key bits. Bits
+        # 12 to 19 of a base are all clear or all set and a fifth of the
+        # patterns each are all clear or all set, so for index widths up to
+        # 20 bits many unscaled entries sit at the lowest or highest value
+        # of a block.
+        base = rng.uniform(0.1, 1.0, 300 if case == "near_tie" else 1).view(np.uint64)
+        base &= np.uint64(~0xFFFFF & (2**64 - 1))
+        base[1::2] |= np.uint64(0xFF000)
+        flip = rng.integers(0, 1 << 12, k, dtype=np.uint64)
+        end = rng.random(k)
+        flip[end < 0.2] = 0
+        flip[end > 0.8] = 0xFFF
+        x = (base[rng.integers(0, base.size, k)] ^ flip).view(np.float64)
     return x
 
 
@@ -63,6 +79,16 @@ class TestMakeDistribution:
         order = np.argsort(-arr, kind="stable")
         assert np.array_equal(d.perm, order)
         assert d.values.tobytes() == (arr[order] / arr.sum()).tobytes()
+
+    @pytest.mark.parametrize("k", [2**12, 10**5, 2**20])
+    def test_colliding_keys_at_block_ends(self, k):
+        # near ties left unscaled, so each block's lowest and highest
+        # values reach the sort as built
+        x = _tie_class_input("near_tie", k, np.random.default_rng(k))
+        d = mj.make_distribution(x, "renormalize")
+        order = np.argsort(-x, kind="stable")
+        assert np.array_equal(d.perm, order)
+        assert d.values.tobytes() == (x[order] / x.sum()).tobytes()
 
     def test_sorts_descending_and_records_perm(self):
         d = mj.make_distribution([0.1, 0.6, 0.3])
@@ -119,6 +145,11 @@ class TestMakeDistribution:
             mj.make_distribution([0.5, float("nan")], "renormalize")
         with pytest.raises(ValueError):
             mj.make_distribution([0.5, float("inf")], "renormalize")
+
+    def test_oversized_integer_rejected_as_non_finite(self):
+        # float64 conversion of the integer overflows, as a JSON file can hold
+        with pytest.raises(ValueError, match="entries must be finite"):
+            mj.make_distribution([10**400, 1], "renormalize")
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 import majorize as mj
 from majorize.errors import BudgetOutOfRangeError, InvalidDeltaError
 
-from conftest import random_distribution
+from conftest import ball_bases, random_distribution
 
 
 P = mj.make_distribution([0.6, 0.3, 0.1])
@@ -315,3 +318,105 @@ class TestLevelMonotonicity:
             assert fp.meta.upper_level >= fq.meta.upper_level - 1e-9
             assert fp.meta.lower_level <= fq.meta.lower_level + 1e-9
             checked += 1
+
+
+# sha256 digests (first 16 hex digits) of the large-k kernels on
+# ball_bases(k), one per (k, base, kernel) over all of _frozen_budgets,
+# recorded before the in-place passes and the packed-key canonical sort:
+# values and perms as bytes, floats as hex, counts and flags as text.
+FROZEN_LARGE_K = [
+    (10**3, "random", "steepest", "791d3ba6c4291e81"),
+    (10**3, "random", "flattest", "4c17dfd8c4860930"),
+    (10**3, "random", "lorenz_steepest", "84613bf050078532"),
+    (10**3, "random", "lorenz_flattest", "a5c38ffa2ec79dab"),
+    (10**3, "random", "solve_upper_level", "17d409297d6166db"),
+    (10**3, "random", "solve_lower_level", "336c0d571bbcd177"),
+    (10**3, "random", "majorization_distance", "69b320554aaa9fdf"),
+    (10**3, "tied", "steepest", "a4da79cd2f3d12d8"),
+    (10**3, "tied", "flattest", "2aefa9ff4705efd6"),
+    (10**3, "tied", "lorenz_steepest", "f5d45be0fea872b0"),
+    (10**3, "tied", "lorenz_flattest", "d2dc7282cc6e2d9c"),
+    (10**3, "tied", "solve_upper_level", "e579640ee04af130"),
+    (10**3, "tied", "solve_lower_level", "2aac01d0ed018e4b"),
+    (10**3, "tied", "majorization_distance", "607e46292cee715b"),
+    (10**5, "random", "steepest", "48a0f8596faa75ba"),
+    (10**5, "random", "flattest", "41d030aac822de1d"),
+    (10**5, "random", "lorenz_steepest", "45b603ebbe3b05f7"),
+    (10**5, "random", "lorenz_flattest", "feb13c57c0273a5c"),
+    (10**5, "random", "solve_upper_level", "a73dc47809ed0d87"),
+    (10**5, "random", "solve_lower_level", "e1dcd785b5ad76cf"),
+    (10**5, "random", "majorization_distance", "09ae633a3e3df9f9"),
+    (10**5, "tied", "steepest", "04fc63d0f93be185"),
+    (10**5, "tied", "flattest", "6329c48cda6c5da6"),
+    (10**5, "tied", "lorenz_steepest", "4c83121cfba34938"),
+    (10**5, "tied", "lorenz_flattest", "8a64ab4701ebd9c1"),
+    (10**5, "tied", "solve_upper_level", "6ceb1843a992e836"),
+    (10**5, "tied", "solve_lower_level", "082d3e1f1756990d"),
+    (10**5, "tied", "majorization_distance", "20abdeca789a21cb"),
+]
+
+
+def _frozen_budgets(p: mj.Distribution) -> list[float]:
+    """Both clamp boundaries +-1 ulp, sub-resolution budgets and one random."""
+    steep = p.values.copy()
+    steep[0] = 1.0 - steep[0]
+    flat = np.abs(p.values - 1.0 / p.k)
+    drawn = float(np.random.default_rng(p.k).uniform(0.0, 2.0))
+    budgets = [0.0, 5e-324, 1e-13, 1e-12, 2e-12, drawn, 2.0]
+    for edge in (float(steep.sum()), float(flat.sum())):
+        budgets += [float(np.nextafter(edge, 0.0)), edge, float(np.nextafter(edge, 3.0))]
+    return [d for d in budgets if d <= 2.0]
+
+
+def _frozen_record(out) -> str:
+    """Text of a kernel output: floats as hex, arrays as their bytes' digest."""
+    if isinstance(out, (tuple, list)):
+        return "(" + ",".join(_frozen_record(x) for x in out) + ")"
+    if isinstance(out, np.ndarray):
+        return hashlib.sha256(out.tobytes()).hexdigest()
+    if isinstance(out, float):
+        return out.hex()
+    return repr(out)
+
+
+def _smoothed_record(sr) -> tuple:
+    meta = None if sr.meta is None else dataclasses.astuple(sr.meta)
+    perm = sr.result.perm.astype(np.int64)
+    return (sr.result.values, perm, sr.clamped, meta)
+
+
+def _large_k_records(k: int, name: str) -> dict[str, str]:
+    p = ball_bases(k)[name]
+    q = random_distribution(np.random.default_rng(k + 1), k=k)
+    records = {
+        "steepest": [], "flattest": [], "lorenz_steepest": [], "lorenz_flattest": [],
+        "solve_upper_level": [], "solve_lower_level": [],
+        "majorization_distance": [mj.majorization_distance(a, b) for a, b in ((p, q), (q, p))],
+    }
+    for delta in _frozen_budgets(p):
+        s, f = mj.steepest(p, delta), mj.flattest(p, delta)
+        records["steepest"].append(_smoothed_record(s))
+        records["flattest"].append(_smoothed_record(f))
+        records["lorenz_steepest"].append(mj.lorenz_steepest(p, delta).cumulative)
+        records["lorenz_flattest"].append(mj.lorenz_flattest(p, delta).cumulative)
+        for solver in (mj.solve_upper_level, mj.solve_lower_level):
+            try:
+                out = solver(p, delta / 2.0)
+            except BudgetOutOfRangeError:
+                out = "out of range"
+            records[solver.__name__].append(out)
+        records["majorization_distance"] += [
+            mj.majorization_distance(p, s.result), mj.majorization_distance(f.result, p)
+        ]
+    return {
+        kernel: hashlib.sha256(_frozen_record(out).encode()).hexdigest()[:16]
+        for kernel, out in records.items()
+    }
+
+
+class TestFrozenLargeK:
+    @pytest.mark.parametrize("k", [10**3, 10**5])
+    @pytest.mark.parametrize("name", ["random", "tied"])
+    def test_kernels_match_frozen_digests(self, k, name):
+        want = {kern: dig for kk, nn, kern, dig in FROZEN_LARGE_K if (kk, nn) == (k, name)}
+        assert _large_k_records(k, name) == want
