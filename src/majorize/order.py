@@ -9,14 +9,7 @@ import numpy as np
 
 from .config import DEFAULT_TAU
 from .distribution import ArrayLike, Distribution
-from .errors import DimensionMismatchError, EmptyInputError, NotMajorizedError
-
-
-def _sorted_desc(values: ArrayLike) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise EmptyInputError("expected a nonempty vector")
-    return -np.sort(-arr)
+from .errors import DimensionMismatchError, NotMajorizedError
 
 
 def _prefix_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -30,15 +23,6 @@ def _prefix_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"k mismatch: {p.size} vs {q.size}")
     gap = q - p
     return np.cumsum(gap, out=gap)
-
-
-def weakly_majorizes(p: ArrayLike, q: ArrayLike, *, tau: float = DEFAULT_TAU) -> bool:
-    """Prefix-sum dominance of sorted p over sorted q, up to tau per prefix.
-
-    Works on raw vectors (they are sorted here) and does not require the
-    totals to match, so it applies to subprobability vectors too.
-    """
-    return bool(_prefix_gap(_sorted_desc(p), _sorted_desc(q)).max() <= tau)
 
 
 def majorizes(p: Distribution, q: Distribution, *, tau: float = DEFAULT_TAU) -> bool:

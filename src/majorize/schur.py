@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TAU
 from .distribution import (
     Distribution,
     SeedLike,
@@ -85,10 +84,11 @@ def shannon(base: float = 2.0) -> SchurFunction:
 def renyi_entropy(alpha: float, base: float = 2.0) -> SchurFunction:
     """The one-parameter entropy family, Schur-concave for every alpha.
 
-    alpha=0 counts the support (entries above DEFAULT_TAU, which only
-    guards float noise since tail cuts produce exact zeros); alpha=1 and
-    anything within 1e-6 of it routes to the Shannon formula to avoid
-    the 1/(1-alpha) blowup; alpha=inf is -log of the largest entry.
+    alpha=0 counts the support, the entries above exactly 0 (a count of
+    entries above a positive threshold is not Schur-concave; tail cuts
+    and the samplers write exact zeros); alpha=1 and anything within
+    1e-6 of it routes to the Shannon formula to avoid the 1/(1-alpha)
+    blowup; alpha=inf is -log of the largest entry.
     """
     alpha = float(alpha)
     if alpha < 0.0 or math.isnan(alpha):
@@ -104,7 +104,7 @@ def renyi_entropy(alpha: float, base: float = 2.0) -> SchurFunction:
     elif alpha == 0.0:
 
         def fn(v: np.ndarray) -> np.ndarray:
-            return _log(np.count_nonzero(v > DEFAULT_TAU, axis=-1)) / log_base
+            return _log(np.count_nonzero(v > 0.0, axis=-1)) / log_base
 
     elif abs(alpha - 1.0) <= 1e-6:
         return SchurFunction(name, SCHUR_CONCAVE, shannon(base).fn)

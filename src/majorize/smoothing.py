@@ -13,6 +13,7 @@ levels, block boundaries); steepest also has a closed-form Lorenz curve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,22 +167,39 @@ def flattest(
     return SmoothedResult(result, "flattest", delta, False, meta)
 
 
-def _water_level(v: np.ndarray, budget: float) -> float:
-    """Level x at which cutting the non-increasing v down to x removes budget.
+def _water_level(w: np.ndarray, budget: float, from_above: bool) -> float:
+    """Water level x: leveling the leading entries of the monotone w to x moves budget.
 
-    The removed-mass function is piecewise linear in the level with
-    breakpoints at the sorted entries, so a single O(k) scan finds the
-    segment: with the top m entries cut to level x the removal is
-    (sum of top m) - m*x.
+    From above (w non-increasing) the top entries are cut down to x, from
+    below (w non-decreasing) the bottom ones raised up to it. With the
+    first m+1 entries leveled, x = (c[m] -/+ budget)/(m+1) for the prefix
+    sums c; the segment is the first m whose x does not pass w[m+1]
+    (x >= w[m+1] from above, <= from below), or else the last m. One
+    cumsum, then a bisection over that float predicate. Rounded, it can
+    flip along a tie run (True, False, True on the renormalized
+    [0.6, 0.7, 0.7] from below at budget 0.05), so one vectorized pass
+    over the prefix before the bisected m takes the first passing m, as a
+    full scan would, bit for bit; it costs the leveled block, not k.
     """
-    levels = np.cumsum(v)
-    levels -= budget
-    levels /= np.arange(1.0, v.size + 1.0)
-    # first segment whose solved level stays above the next breakpoint
-    ok = np.empty(v.size, dtype=bool)
-    np.greater_equal(levels[:-1], v[1:], out=ok[:-1])
-    ok[-1] = True
-    return float(levels[np.argmax(ok)])
+    c = w.cumsum()
+    shift = -budget if from_above else budget
+    passes = operator.ge if from_above else operator.le
+    lo, hi = 0, w.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes((c.item(mid) + shift) / (mid + 1), w.item(mid + 1)):
+            hi = mid
+        else:
+            lo = mid + 1
+    if hi > 1:  # hi - 1 failed its probe; an earlier m may still pass
+        head = c[: hi - 1]
+        head += shift
+        head /= np.arange(1.0, hi)
+        ok = passes(head, w[1:hi])
+        first = int(ok.argmax())
+        if ok[first]:
+            return head.item(first)
+    return (c.item(hi) + shift) / (hi + 1)
 
 
 def _rank(v: np.ndarray, x: float, side: str) -> int:
@@ -210,7 +228,7 @@ def solve_upper_level(
     cap = float(v.sum())
     if not 0.0 < budget <= cap + tau:
         raise BudgetOutOfRangeError(f"budget {budget} outside (0, {cap}]")
-    level = _water_level(v, budget)
+    level = _water_level(v, budget, from_above=True)
     return level, v.size - _rank(v, level - tau, "left")
 
 
@@ -219,12 +237,12 @@ def solve_lower_level(
 ) -> tuple[float, int]:
     """Water level from below: raising entries up to it adds `budget`.
 
-    Mirror image of solve_upper_level: the upper level of the negated,
-    reversed vector, negated back (negation is exact). Returns the level
-    and the 1-based canonical index where the raised block begins;
-    entries within tau of the level count as block members. The budget
-    may not push the level past the largest entry, so the domain is
-    (0, k*p_1 - 1].
+    Mirror image of solve_upper_level on the reversed view, bit for bit
+    the upper level of the negated, reversed vector, negated back.
+    Returns the level and the 1-based canonical index where the raised
+    block begins; entries within tau of the level count as block
+    members. The budget may not push the level past the largest entry,
+    so the domain is (0, k*p_1 - 1].
     """
     v = p.values
     k = p.k
@@ -232,7 +250,7 @@ def solve_lower_level(
     cap = float(k * v[0] - v.sum())
     if not 0.0 < budget <= cap + tau:
         raise BudgetOutOfRangeError(f"budget {budget} outside (0, {cap}]")
-    level = -_water_level(-v[::-1], budget)
+    level = _water_level(v[::-1], budget, from_above=False)
     return level, k - _rank(v, level + tau, "right") + 1
 
 

@@ -83,16 +83,8 @@ class TestMajorizes:
         assert mj.majorizes(q, p, tau=1e-9)
 
 
-class TestWeaklyMajorizes:
-    def test_accepts_raw_unsorted_vectors(self):
-        assert mj.weakly_majorizes([0.1, 0.6, 0.3], [0.3, 0.4, 0.3])
-
-    def test_subnormalized_vectors(self):
-        # prefix dominance without the total-mass constraint
-        assert mj.weakly_majorizes([0.5, 0.1], [0.3, 0.2])
-        assert not mj.weakly_majorizes([0.3, 0.2], [0.5, 0.1])
-
-    def test_matches_majorizes_on_distributions(self):
+class TestPrefixGapPredicates:
+    def test_agree_with_majorizes_on_distributions(self):
         # every predicate on the shared prefix gap agrees with majorizes,
         # on random pairs, equal pairs and pairs with tied entries
         rng = np.random.default_rng(11)
@@ -109,7 +101,6 @@ class TestWeaklyMajorizes:
             pairs += [(p, p), (t, t), (t, tied()), (t, p), (p, t)]
         for p, q in pairs:
             expected = mj.majorizes(p, q)
-            assert mj.weakly_majorizes(p.values, q.values) == expected
             assert (mj.first_failing_prefix(p, q) is None) == expected
             assert (mj.majorization_distance(p, q) <= 2 * 1e-9) == expected
 

@@ -99,6 +99,16 @@ class TestEntropyFamilies:
         assert f(mj.make_distribution([0.8, 0.2, 0.0])) == pytest.approx(1.0, abs=1e-12)
         assert f(mj.uniform(8)) == pytest.approx(3.0, abs=1e-12)
 
+    def test_alpha_zero_counts_entries_below_tau(self):
+        # all entries but the first lie below 1e-9, in p and in its flattest
+        # point; counting only entries above 1e-9 read 0 bits for both, while
+        # the oracle's ball rows read 1 bit
+        f = mj.renyi_entropy(0.0)
+        p = mj.make_distribution([1 - 7.6e-12, 3.7e-12, 2.9e-12, 9.9e-13])
+        assert f(p) == 2.0
+        assert mj.smooth_max(f, p, 3.6e-9) == 2.0
+        assert mj.brute_force_extremum(f, p, 3.6e-9, n=5, seed=3, mode="max") == 2.0
+
     def test_generic_alpha(self):
         f = mj.renyi_entropy(2.0)
         # -log2(0.25 + 0.25) on uniform(2)

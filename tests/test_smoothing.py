@@ -242,6 +242,63 @@ class TestSolveLowerLevel:
             mj.solve_lower_level(P, cap + 0.01)
 
 
+def _argmax_water_level(v: np.ndarray, budget: float) -> float:
+    """Reference upper level: the full five-pass scan, first passing segment by argmax."""
+    levels = np.cumsum(v)
+    levels -= budget
+    levels /= np.arange(1.0, v.size + 1.0)
+    ok = np.empty(v.size, dtype=bool)
+    np.greater_equal(levels[:-1], v[1:], out=ok[:-1])
+    ok[-1] = True
+    return float(levels[np.argmax(ok)])
+
+
+def _level_sweep_bases(rng: np.random.Generator, k: int) -> list[mj.Distribution]:
+    """Random, one-decimal ties, a 1/T grid, half zeros and 1e-300 entries at one k."""
+    grid = rng.multinomial(int(rng.choice([10, 20, 100])), np.full(k, 1.0 / k))
+    half_zeros = rng.random(k)
+    half_zeros[rng.random(k) < 0.5] = 0.0
+    half_zeros[0] += 0.1
+    tiny = rng.random(k)
+    tiny[rng.random(k) < 0.5] = 1e-300
+    raws = [rng.random(k), np.round(rng.random(k), 1) + 0.1, grid / grid.sum(), half_zeros, tiny]
+    return [mj.make_distribution(raw, "renormalize") for raw in raws]
+
+
+class TestWaterLevelFirstSegment:
+    """The bisected solve picks the same segment as a full argmax scan, bit for bit."""
+
+    def test_tie_run_where_the_predicate_is_not_monotone(self):
+        # from below the segment predicate reads True, False, True here;
+        # a bisection without its first-segment pass returns 0x1.6666666666668p-2
+        p = mj.make_distribution([0.6, 0.7, 0.7], "renormalize")
+        level, start = mj.solve_lower_level(p, 0.05)
+        assert (level.hex(), start) == ((0.35000000000000003).hex(), 1)
+
+    def test_matches_the_argmax_scan(self):
+        rng = np.random.default_rng(41)
+        solved = 0
+        for k in range(2, 301):
+            for p in _level_sweep_bases(rng, k):
+                v = p.values
+                for budget in (1e-13, 1e-3, 0.1, 0.3):
+                    try:
+                        upper, _ = mj.solve_upper_level(p, budget)
+                    except BudgetOutOfRangeError:
+                        pass
+                    else:
+                        assert upper.hex() == _argmax_water_level(v, budget).hex()
+                        solved += 1
+                    try:
+                        lower, _ = mj.solve_lower_level(p, budget)
+                    except BudgetOutOfRangeError:
+                        pass
+                    else:
+                        assert lower.hex() == (-_argmax_water_level(-v[::-1], budget)).hex()
+                        solved += 1
+        assert solved > 11000
+
+
 class TestClosedFormLorenz:
     def test_steepest_elbows(self):
         curve = mj.lorenz_steepest(P, 0.4)
