@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-# Comparison tolerance: prefix-dominance checks, level-solver breakpoints,
+# Comparison tolerance: prefix-dominance checks, water-level block bounds,
 # witness verification. Strict inequalities become ">= -tau" to absorb
 # float noise.
 DEFAULT_TAU = 1e-9
@@ -31,11 +32,18 @@ class Config:
     input_policy: str = "reject"
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0.0 and self.tau_norm > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.tau < math.inf and 0.0 < self.tau_norm < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.tau > self.tau_norm:
             raise ValueError("tau must not exceed tau_norm")
-        if self.base <= 1.0:
-            raise ValueError("log base must be > 1")
+        check_base(self.base)
         if self.input_policy not in POLICIES:
             raise ValueError(f"unknown input policy: {self.input_policy!r}")
+
+
+def check_base(base: float) -> float:
+    """A logarithm base as a float; it must lie in (1, inf), so not nan."""
+    base = float(base)
+    if not 1.0 < base < math.inf:
+        raise ValueError(f"log base must lie in (1, inf), got {base}")
+    return base

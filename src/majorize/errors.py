@@ -37,10 +37,6 @@ class NotMajorizedError(MajorizeError):
     """A transfer plan was requested for a pair that is not ordered."""
 
 
-class BudgetOutOfRangeError(MajorizeError):
-    """Level-solver budget outside its existence range."""
-
-
 class NegativeAlphaError(MajorizeError):
     """Entropy order must be nonnegative."""
 

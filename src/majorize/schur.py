@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .config import check_base
 from .distribution import (
     Distribution,
     SeedLike,
@@ -57,13 +58,6 @@ class SchurFunction:
         return float(self.fn(p.values))
 
 
-def _check_base(base: float) -> float:
-    base = float(base)
-    if base <= 1.0:
-        raise ValueError(f"log base must exceed 1, got {base}")
-    return base
-
-
 def _log(x: np.ndarray | float) -> np.ndarray | float:
     # math.log per row, since np.log rounds differently on some inputs; one
     # row's scalar skips the object-array round trip
@@ -72,7 +66,7 @@ def _log(x: np.ndarray | float) -> np.ndarray | float:
 
 def shannon(base: float = 2.0) -> SchurFunction:
     """Shannon entropy; zero entries contribute nothing (0 log 0 = 0)."""
-    log_base = math.log(_check_base(base))
+    log_base = math.log(check_base(base))
 
     def fn(v: np.ndarray) -> np.ndarray:
         t = np.where(v > 0.0, v, 1.0)
@@ -93,7 +87,7 @@ def renyi_entropy(alpha: float, base: float = 2.0) -> SchurFunction:
     alpha = float(alpha)
     if alpha < 0.0 or math.isnan(alpha):
         raise NegativeAlphaError(f"alpha must be >= 0, got {alpha}")
-    log_base = math.log(_check_base(base))
+    log_base = math.log(check_base(base))
     name = "renyi:inf" if math.isinf(alpha) else f"renyi:{alpha:g}"
 
     if math.isinf(alpha):

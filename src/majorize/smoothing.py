@@ -28,7 +28,6 @@ from .distribution import (
     point_mass,
     uniform,
 )
-from .errors import BudgetOutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -147,22 +146,20 @@ def flattest(
         return SmoothedResult(uniform(k), "flattest", delta, True)
     del spread  # freed before the level solves allocate theirs
     half = delta / 2.0
-    if half == 0.0:  # covers subnormal delta whose half underflows
-        v = p.values
-        meta = FlattestMeta(
-            upper_level=float(v[0]),
-            lower_level=float(v[-1]),
-            upper_count=k - _rank(v, v[0] - tau, "left"),
-            lower_start=k - _rank(v, v[-1] + tau, "right") + 1,
-        )
-        return SmoothedResult(p, "flattest", delta, False, meta)
-    upper_level, upper_count = solve_upper_level(p, half, tau=tau)
-    lower_level, lower_start = solve_lower_level(p, half, tau=tau)
+    v = p.values
+    upper_level = _water_level(v, half, from_above=True)
+    lower_level = _water_level(v[::-1], half, from_above=False)
     if upper_level <= lower_level:
-        # only reachable within ulps of the uniform clamp boundary
+        # only reachable within ulps of the uniform clamp boundary, or at
+        # budget 0 on an all-equal vector whose sum is off 1 by float slack
         return SmoothedResult(uniform(k), "flattest", delta, True)
-    vals = np.clip(p.values, lower_level, upper_level)
-    meta = FlattestMeta(upper_level, lower_level, upper_count, lower_start)
+    vals = np.clip(v, lower_level, upper_level)
+    meta = FlattestMeta(
+        upper_level,
+        lower_level,
+        upper_count=k - _rank(v, upper_level - tau, "left"),
+        lower_start=k - _rank(v, lower_level + tau, "right") + 1,
+    )
     result = _trusted(Distribution, values=vals, perm=p.perm)
     return SmoothedResult(result, "flattest", delta, False, meta)
 
@@ -180,6 +177,11 @@ def _water_level(w: np.ndarray, budget: float, from_above: bool) -> float:
     [0.6, 0.7, 0.7] from below at budget 0.05), so one vectorized pass
     over the prefix before the bisected m takes the first passing m, as a
     full scan would, bit for bit; it costs the leveled block, not k.
+
+    Budget 0 returns w[0] exactly. The budget must not level past the
+    far end of w; the one caller, flattest, passes delta/2 only when the
+    distance to uniform exceeds delta, and that keeps it below both the
+    mass above 1/k and the deficit below it.
     """
     c = w.cumsum()
     shift = -budget if from_above else budget
@@ -208,50 +210,6 @@ def _rank(v: np.ndarray, x: float, side: str) -> int:
     One binary search of the ascending view v[::-1], which needs no copy.
     """
     return int(np.searchsorted(v[::-1], x, side))
-
-
-def solve_upper_level(
-    p: Distribution, budget: float, *, tau: float = DEFAULT_TAU
-) -> tuple[float, int]:
-    """Water level from above: cutting entries down to it removes `budget`.
-
-    Returns the level and the size of the leveled block, counting
-    entries within tau of the level as members (they join at zero cost).
-
-    The budget must be positive and at most the total mass (the removal
-    when the level reaches 0, tau slack); outside that range raises
-    BudgetOutOfRangeError. Callers that keep the level above 1/k stay
-    well inside this domain.
-    """
-    v = p.values
-    budget = float(budget)
-    cap = float(v.sum())
-    if not 0.0 < budget <= cap + tau:
-        raise BudgetOutOfRangeError(f"budget {budget} outside (0, {cap}]")
-    level = _water_level(v, budget, from_above=True)
-    return level, v.size - _rank(v, level - tau, "left")
-
-
-def solve_lower_level(
-    p: Distribution, budget: float, *, tau: float = DEFAULT_TAU
-) -> tuple[float, int]:
-    """Water level from below: raising entries up to it adds `budget`.
-
-    Mirror image of solve_upper_level on the reversed view, bit for bit
-    the upper level of the negated, reversed vector, negated back.
-    Returns the level and the 1-based canonical index where the raised
-    block begins; entries within tau of the level count as block
-    members. The budget may not push the level past the largest entry,
-    so the domain is (0, k*p_1 - 1].
-    """
-    v = p.values
-    k = p.k
-    budget = float(budget)
-    cap = float(k * v[0] - v.sum())
-    if not 0.0 < budget <= cap + tau:
-        raise BudgetOutOfRangeError(f"budget {budget} outside (0, {cap}]")
-    level = _water_level(v[::-1], budget, from_above=False)
-    return level, k - _rank(v, level + tau, "right") + 1
 
 
 def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:

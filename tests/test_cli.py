@@ -249,6 +249,19 @@ class TestErrorPaths:
         assert code == 2
         assert err == "error: entries must be finite\n"
 
+    @pytest.mark.parametrize("flag", ["--tau", "--tau-norm"])
+    def test_infinite_tolerance_is_exit_2(self, capsys, tmp_path, flag):
+        # tau_norm = inf would clamp the -5 entry away as float noise, and
+        # tau = inf would let every input majorize every other
+        n = tmp_path / "n.json"
+        n.write_text('{"values": [-5, 1, 0]}')
+        q = tmp_path / "q.json"
+        q.write_text('{"values": [0.5, 0.5]}')
+        code, out, err = run(capsys, flag, "inf", "check", str(n), str(q))
+        assert code == 2
+        assert out == ""
+        assert err == "error: tolerances must be positive and finite\n"
+
     def test_unsupported_extension(self, capsys, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text("0.5\n0.5\n")

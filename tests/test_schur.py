@@ -153,11 +153,14 @@ class TestEntropyFamilies:
         with pytest.raises(NegativeAlphaError):
             mj.renyi_entropy(float("nan"))
 
-    def test_bad_base_rejected(self):
+    @pytest.mark.parametrize("base", [1.0, 0.5, math.nan, math.inf])
+    def test_bad_base_rejected(self, base):
         with pytest.raises(ValueError):
-            mj.shannon(base=1.0)
+            mj.shannon(base=base)
         with pytest.raises(ValueError):
-            mj.renyi_entropy(2.0, base=0.5)
+            mj.renyi_entropy(2.0, base=base)
+        with pytest.raises(ValueError):
+            mj.Config(base=base)
 
 
 class TestSumOfPowers:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import majorize as mj
-from majorize.errors import BudgetOutOfRangeError, InvalidDeltaError
+from majorize.errors import InvalidDeltaError
+from majorize.smoothing import _water_level
 
 from conftest import ball_bases, random_distribution
 
@@ -87,10 +88,28 @@ class TestFlattest:
         assert m.lower_start == 2
         assert isinstance(out.meta, mj.FlattestMeta)
 
-    def test_zero_delta_is_identity(self):
-        out = mj.flattest(P, 0.0)
-        assert np.array_equal(out.result.values, P.values)
+    @pytest.mark.parametrize("delta", [0.0, 5e-324])  # 5e-324 / 2 underflows to 0
+    @pytest.mark.parametrize("p, meta", [
+        (P, (0.6000000000000001, 0.10000000000000002, 1, 3)),
+        (mj.make_distribution([3, 3, 1, 0], "renormalize"), (0.42857142857142855, 0.0, 2, 4)),
+    ], ids=["P", "tied"])
+    def test_zero_delta_is_identity(self, p, meta, delta):
+        out = mj.flattest(p, delta)
+        assert out.result.values.tobytes() == p.values.tobytes()
         assert not out.clamped
+        assert dataclasses.astuple(out.meta) == meta
+
+    def test_tied_top_entries_are_cut_together(self):
+        p = mj.make_distribution([0.4, 0.4, 0.2])
+        m = mj.flattest(p, 0.2).meta
+        assert (m.upper_level, m.lower_level) == (0.35000000000000003, 0.30000000000000004)
+        assert (m.upper_count, m.lower_start) == (2, 3)
+
+    def test_tiny_budget_levels_sit_at_the_end_entries(self):
+        m = mj.flattest(P, 2e-12).meta
+        assert m.upper_level == pytest.approx(float(P.values[0]), abs=1e-11)
+        assert m.lower_level == pytest.approx(float(P.values[-1]), abs=1e-11)
+        assert (m.upper_count, m.lower_start) == (1, 3)
 
     def test_uniform_input_clamps_at_any_delta(self):
         for delta in (0.1, 1.0, 2.0):
@@ -105,6 +124,7 @@ class TestFlattest:
         m = out.meta
         assert m.upper_level == pytest.approx(0.6, abs=1e-9)
         assert m.lower_level == pytest.approx(0.2, abs=1e-9)
+        assert (m.upper_count, m.lower_start) == (1, 2)
         # mass removed above == mass added below == delta/2
         removed = float(np.maximum(p.values - m.upper_level, 0).sum())
         added = float(np.maximum(m.lower_level - p.values, 0).sum())
@@ -118,6 +138,22 @@ class TestFlattest:
             out = mj.flattest(p, float(rng.uniform(0, 2)))
             if not out.clamped:
                 assert out.meta.upper_level > out.meta.lower_level
+
+    def test_each_side_moves_half_the_budget(self):
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            p = random_distribution(rng)
+            delta = float(rng.uniform(1e-7, 2.0))
+            out = mj.flattest(p, delta)
+            if out.clamped:
+                continue
+            m, v = out.meta, p.values
+            removed = float(np.maximum(v - m.upper_level, 0).sum())
+            added = float(np.maximum(m.lower_level - v, 0).sum())
+            assert removed == pytest.approx(delta / 2, abs=1e-9)
+            assert added == pytest.approx(delta / 2, abs=1e-9)
+            assert m.upper_count == int(np.sum(v >= m.upper_level - 1e-9))
+            assert m.lower_start == p.k - int(np.sum(v <= m.lower_level + 1e-9)) + 1
 
     def test_distance_saturates_budget_when_unclamped(self):
         rng = np.random.default_rng(24)
@@ -166,82 +202,6 @@ class TestExtremality:
             assert mj.majorizes(mj.flattest(p, delta).result, mj.flattest(q, delta).result)
 
 
-class TestSolveUpperLevel:
-    def test_single_entry_segment(self):
-        level, count = mj.solve_upper_level(P, 0.2)
-        assert level == pytest.approx(0.4, abs=1e-9)
-        assert count == 1
-
-    def test_tied_entries_cut_together(self):
-        p = mj.make_distribution([0.5, 0.5])
-        level, count = mj.solve_upper_level(p, 0.2)
-        assert level == pytest.approx(0.4, abs=1e-9)
-        assert count == 2
-
-    def test_tiny_budget_approaches_top_entry(self):
-        level, count = mj.solve_upper_level(P, 1e-12)
-        assert level == pytest.approx(float(P.values[0]), abs=1e-11)
-        assert count == 1
-
-    def test_removed_mass_matches_budget(self):
-        # exercised over the full domain, past the uniform level
-        rng = np.random.default_rng(27)
-        for _ in range(300):
-            p = random_distribution(rng)
-            budget = float(rng.uniform(1e-7, 0.999))
-            level, count = mj.solve_upper_level(p, budget)
-            removed = float(np.maximum(p.values - level, 0).sum())
-            assert removed == pytest.approx(budget, abs=1e-9)
-            assert count == int(np.sum(p.values >= level - 1e-9))
-
-    def test_budget_out_of_range(self):
-        with pytest.raises(BudgetOutOfRangeError):
-            mj.solve_upper_level(P, 0.0)
-        with pytest.raises(BudgetOutOfRangeError):
-            mj.solve_upper_level(P, -0.1)
-        with pytest.raises(BudgetOutOfRangeError):
-            mj.solve_upper_level(P, 1.01)  # beyond the total mass
-
-
-class TestSolveLowerLevel:
-    def test_two_entry_block(self):
-        level, start = mj.solve_lower_level(P, 0.2)
-        assert level == pytest.approx(0.3, abs=1e-9)
-        assert start == 2
-
-    def test_second_known_case(self):
-        p = mj.make_distribution([0.7, 0.2, 0.1])
-        level, start = mj.solve_lower_level(p, 0.1)
-        assert level == pytest.approx(0.2, abs=1e-9)
-        assert start == 2
-
-    def test_tiny_budget_approaches_last_entry(self):
-        level, start = mj.solve_lower_level(P, 1e-12)
-        assert level == pytest.approx(float(P.values[-1]), abs=1e-11)
-        assert start == 3
-
-    def test_added_mass_matches_budget(self):
-        # exercised over the full domain, past the uniform level
-        rng = np.random.default_rng(28)
-        for _ in range(300):
-            p = random_distribution(rng)
-            cap = p.k * float(p.values[0]) - 1.0
-            if cap < 1e-6:
-                continue
-            budget = float(rng.uniform(1e-7, cap * 0.999))
-            level, start = mj.solve_lower_level(p, budget)
-            added = float(np.maximum(level - p.values, 0).sum())
-            assert added == pytest.approx(budget, abs=1e-9)
-            assert start == p.k - int(np.sum(p.values <= level + 1e-9)) + 1
-
-    def test_budget_out_of_range(self):
-        with pytest.raises(BudgetOutOfRangeError):
-            mj.solve_lower_level(P, 0.0)
-        cap = 3 * float(P.values[0]) - 1.0  # level cannot pass the top entry
-        with pytest.raises(BudgetOutOfRangeError):
-            mj.solve_lower_level(P, cap + 0.01)
-
-
 def _argmax_water_level(v: np.ndarray, budget: float) -> float:
     """Reference upper level: the full five-pass scan, first passing segment by argmax."""
     levels = np.cumsum(v)
@@ -272,8 +232,8 @@ class TestWaterLevelFirstSegment:
         # from below the segment predicate reads True, False, True here;
         # a bisection without its first-segment pass returns 0x1.6666666666668p-2
         p = mj.make_distribution([0.6, 0.7, 0.7], "renormalize")
-        level, start = mj.solve_lower_level(p, 0.05)
-        assert (level.hex(), start) == ((0.35000000000000003).hex(), 1)
+        level = _water_level(p.values[::-1], 0.05, from_above=False)
+        assert level.hex() == (0.35000000000000003).hex()
 
     def test_matches_the_argmax_scan(self):
         rng = np.random.default_rng(41)
@@ -281,19 +241,16 @@ class TestWaterLevelFirstSegment:
         for k in range(2, 301):
             for p in _level_sweep_bases(rng, k):
                 v = p.values
+                # budgets that level at most the whole vector, tau slack
+                mass = float(v.sum()) + 1e-9
+                deficit = k * float(v[0]) - float(v.sum()) + 1e-9
                 for budget in (1e-13, 1e-3, 0.1, 0.3):
-                    try:
-                        upper, _ = mj.solve_upper_level(p, budget)
-                    except BudgetOutOfRangeError:
-                        pass
-                    else:
+                    if budget <= mass:
+                        upper = _water_level(v, budget, from_above=True)
                         assert upper.hex() == _argmax_water_level(v, budget).hex()
                         solved += 1
-                    try:
-                        lower, _ = mj.solve_lower_level(p, budget)
-                    except BudgetOutOfRangeError:
-                        pass
-                    else:
+                    if budget <= deficit:
+                        lower = _water_level(v[::-1], budget, from_above=False)
                         assert lower.hex() == (-_argmax_water_level(-v[::-1], budget)).hex()
                         solved += 1
         assert solved > 11000
@@ -386,29 +343,21 @@ FROZEN_LARGE_K = [
     (10**3, "random", "flattest", "4c17dfd8c4860930"),
     (10**3, "random", "lorenz_steepest", "84613bf050078532"),
     (10**3, "random", "lorenz_flattest", "a5c38ffa2ec79dab"),
-    (10**3, "random", "solve_upper_level", "17d409297d6166db"),
-    (10**3, "random", "solve_lower_level", "336c0d571bbcd177"),
     (10**3, "random", "majorization_distance", "69b320554aaa9fdf"),
     (10**3, "tied", "steepest", "a4da79cd2f3d12d8"),
     (10**3, "tied", "flattest", "2aefa9ff4705efd6"),
     (10**3, "tied", "lorenz_steepest", "f5d45be0fea872b0"),
     (10**3, "tied", "lorenz_flattest", "d2dc7282cc6e2d9c"),
-    (10**3, "tied", "solve_upper_level", "e579640ee04af130"),
-    (10**3, "tied", "solve_lower_level", "2aac01d0ed018e4b"),
     (10**3, "tied", "majorization_distance", "607e46292cee715b"),
     (10**5, "random", "steepest", "48a0f8596faa75ba"),
     (10**5, "random", "flattest", "41d030aac822de1d"),
     (10**5, "random", "lorenz_steepest", "45b603ebbe3b05f7"),
     (10**5, "random", "lorenz_flattest", "feb13c57c0273a5c"),
-    (10**5, "random", "solve_upper_level", "a73dc47809ed0d87"),
-    (10**5, "random", "solve_lower_level", "e1dcd785b5ad76cf"),
     (10**5, "random", "majorization_distance", "09ae633a3e3df9f9"),
     (10**5, "tied", "steepest", "04fc63d0f93be185"),
     (10**5, "tied", "flattest", "6329c48cda6c5da6"),
     (10**5, "tied", "lorenz_steepest", "4c83121cfba34938"),
     (10**5, "tied", "lorenz_flattest", "8a64ab4701ebd9c1"),
-    (10**5, "tied", "solve_upper_level", "6ceb1843a992e836"),
-    (10**5, "tied", "solve_lower_level", "082d3e1f1756990d"),
     (10**5, "tied", "majorization_distance", "20abdeca789a21cb"),
 ]
 
@@ -447,7 +396,6 @@ def _large_k_records(k: int, name: str) -> dict[str, str]:
     q = random_distribution(np.random.default_rng(k + 1), k=k)
     records = {
         "steepest": [], "flattest": [], "lorenz_steepest": [], "lorenz_flattest": [],
-        "solve_upper_level": [], "solve_lower_level": [],
         "majorization_distance": [mj.majorization_distance(a, b) for a, b in ((p, q), (q, p))],
     }
     for delta in _frozen_budgets(p):
@@ -456,12 +404,6 @@ def _large_k_records(k: int, name: str) -> dict[str, str]:
         records["flattest"].append(_smoothed_record(f))
         records["lorenz_steepest"].append(mj.lorenz_steepest(p, delta).cumulative)
         records["lorenz_flattest"].append(mj.lorenz_flattest(p, delta).cumulative)
-        for solver in (mj.solve_upper_level, mj.solve_lower_level):
-            try:
-                out = solver(p, delta / 2.0)
-            except BudgetOutOfRangeError:
-                out = "out of range"
-            records[solver.__name__].append(out)
         records["majorization_distance"] += [
             mj.majorization_distance(p, s.result), mj.majorization_distance(f.result, p)
         ]
@@ -477,3 +419,41 @@ class TestFrozenLargeK:
     def test_kernels_match_frozen_digests(self, k, name):
         want = {kern: dig for kk, nn, kern, dig in FROZEN_LARGE_K if (kk, nn) == (k, name)}
         assert _large_k_records(k, name) == want
+
+
+# sha256 digest (first 16 hex digits) of flattest over _small_k_sweep,
+# recorded before flattest called the water-level kernel directly: 20 draws
+# of _level_sweep_bases at each k in [2, 64], budgets 0, 5e-324, 1e-13, one
+# random and the uniform clamp boundary -4..+2 ulps.
+FROZEN_SMALL_K_FLATTEST = "af11690dc143e5a3"
+
+
+def _small_k_sweep():
+    for k in range(2, 65):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            for p in _level_sweep_bases(rng, k):
+                edge = float(np.abs(p.values - 1.0 / k).sum())
+                for _ in range(4):
+                    edge = float(np.nextafter(edge, -1.0))
+                budgets = [0.0, 5e-324, 1e-13, float(rng.uniform(0.0, 2.0))]
+                for _ in range(7):
+                    budgets.append(edge)
+                    edge = float(np.nextafter(edge, 3.0))
+                for delta in budgets:
+                    if 0.0 <= delta <= 2.0:
+                        yield p, delta
+
+
+class TestFrozenSmallK:
+    def test_flattest_matches_frozen_digest(self):
+        digest = hashlib.sha256()
+        cases = clamped = 0
+        for p, delta in _small_k_sweep():
+            sr = mj.flattest(p, delta)
+            digest.update(_frozen_record(_smoothed_record(sr)).encode())
+            cases += 1
+            clamped += sr.clamped
+        # the sweep reaches both sides of the uniform clamp
+        assert cases > 60000 and 0 < clamped < cases
+        assert digest.hexdigest()[:16] == FROZEN_SMALL_K_FLATTEST
