@@ -134,9 +134,14 @@ class Distribution:
     values: np.ndarray
     perm: np.ndarray
 
+    # the last steepest and flattest points built from this distribution,
+    # set by smoothing._extremal; not a field, so not compared or pickled
+    _extremes = None
+
     def __post_init__(self) -> None:
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        perm = np.asarray(self.perm)
+        # copies: the caller's arrays stay writable and cannot change ours
+        values = np.array(self.values, dtype=np.float64)
+        perm = np.array(self.perm)
         if values.ndim != 1 or values.size == 0:
             raise EmptyInputError("distribution needs at least one entry")
         if values[-1] < 0.0 or not np.all(values[:-1] >= values[1:]):
@@ -158,6 +163,9 @@ class Distribution:
     def k(self) -> int:
         return self.values.size
 
+    def __getstate__(self) -> dict:
+        return {"values": self.values, "perm": self.perm}
+
     def to_original_order(self) -> np.ndarray:
         """Return the entries permuted back to the caller's input order."""
         out = np.empty(self.k)
@@ -175,11 +183,12 @@ def _trusted(cls: type[_T], **arrays: np.ndarray) -> _T:
     Values from a caller are checked (Distribution, LorenzCurve,
     make_distribution); values the library builds are canonical by
     construction. Callers pass contiguous float64 values and intp perms:
-    make_distribution its checked input argsorted and divided by its
-    finite sum; uniform and point_mass closed forms; the samplers
-    clamped, argsorted convex combinations of distributions; steepest and
-    flattest sorted, mass-keeping edits of p with p's perm; lorenz and
-    lorenz_steepest prefix sums from 0 of a canonical vector, capped at 1.
+    make_distribution its checked input in _canonical_order, divided by
+    its finite sum; uniform and point_mass closed forms; the samplers
+    clamped convex combinations of distributions, sorted by
+    _canonical_order or a stable argsort; steepest and flattest sorted,
+    mass-keeping edits of p with p's perm; lorenz and lorenz_steepest
+    prefix sums from 0 of a canonical vector, capped at 1.
     """
     obj = object.__new__(cls)
     for name, arr in arrays.items():
@@ -199,7 +208,7 @@ class LorenzCurve:
     cumulative: np.ndarray
 
     def __post_init__(self) -> None:
-        cum = np.ascontiguousarray(self.cumulative, dtype=np.float64)
+        cum = np.array(self.cumulative, dtype=np.float64)  # a copy, as in Distribution
         if cum.ndim != 1 or cum.size < 2:
             raise EmptyInputError("curve needs at least the origin and one point")
         if cum[0] != 0.0:

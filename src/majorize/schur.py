@@ -167,7 +167,11 @@ def brute_force_extremum(
 
     Independent check of smooth_max/smooth_min: sampling alone can only
     fall short of the true extremum, but the extremal points are in the
-    candidate set, so the result matches the closed form exactly.
+    candidate set, so the result is never less extreme than the closed
+    form. It can pass it by rounding (ROADMAP B4): a sampled row whose
+    float mass is off 1 by an ulp, or whose score rounds one ulp past
+    the extremal point's, can win, so the two agree to float precision,
+    not always bit for bit.
 
     The samples are drawn and scored in blocks of at most 64 rows: each
     block is one (n, k) array of canonical values, bit-identical to as

@@ -13,6 +13,7 @@ levels, block boundaries); steepest also has a closed-form Lorenz curve.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -89,16 +90,27 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     point mass (1, 0, ..., 0) is already within delta, it is returned
     directly with clamped=True. The result majorizes every distribution
     within delta of p.
+
+    p keeps its last steepest point, so a repeat call at the same delta
+    (here or inside smooth_max, smooth_min, extremal_point and
+    brute_force_extremum) returns the same read-only result in a new
+    SmoothedResult; that costs at most one extra vector of size k.
     """
     delta = check_delta(delta)
+    result, meta = _extremal(p, delta, "steepest")
+    return SmoothedResult(result, "steepest", delta, meta is None, meta)
+
+
+def _steepest_point(p: Distribution, delta: float) -> tuple[Distribution, SteepestMeta | None]:
+    """Build steepest(p, delta): its result and meta, None when clamped."""
     k = p.k
     # l1 distance to the point mass, summed as l1_distance sums it
     gap = p.values.copy()
     gap[0] = 1.0 - gap[0]
     if float(gap.sum()) <= delta:
-        return SmoothedResult(point_mass(k), "steepest", delta, True)
+        return point_mass(k), None
     if delta == 0.0:
-        return SmoothedResult(p, "steepest", delta, False, SteepestMeta(k, 0.0))
+        return p, SteepestMeta(k, 0.0)
     half = delta / 2.0
     prefix = np.cumsum(p.values, out=gap)
     # ulp slack keeps exact-boundary cuts (prefix + half == 1) inclusive;
@@ -107,7 +119,7 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     if head == 0:
         # float disagreement between the distance check and p1 + half >= 1;
         # only reachable within ulps of the clamp boundary
-        return SmoothedResult(point_mass(k), "steepest", delta, True)
+        return point_mass(k), None
     kept = float(prefix[head - 1])
     vals = prefix  # the prefix sums are spent; their buffer takes the result
     vals[:head] = p.values[:head]
@@ -123,9 +135,7 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
         # overshoot out of the last entry instead of a nonexistent slot
         tail = 0.0
         vals[-1] = max(vals[-1] - half, 0.0)
-    meta = SteepestMeta(head, float(tail))
-    result = _trusted(Distribution, values=vals, perm=p.perm)
-    return SmoothedResult(result, "steepest", delta, False, meta)
+    return _trusted(Distribution, values=vals, perm=p.perm), SteepestMeta(head, float(tail))
 
 
 def flattest(
@@ -138,12 +148,37 @@ def flattest(
     middle untouched. If the uniform distribution is already within
     delta, it is returned directly with clamped=True. Every distribution
     within delta of p majorizes the result.
+
+    p keeps its last flattest point and its two levels, so a repeat call
+    at the same delta (here, in lorenz_flattest, smooth_max, smooth_min,
+    extremal_point and brute_force_extremum) returns the same read-only
+    result in a new SmoothedResult; that costs at most one extra vector
+    of size k. Only the block counts of meta, which depend on tau, are
+    worked out on every call.
     """
     delta = check_delta(delta)
+    result, levels = _extremal(p, delta, "flattest")
+    if levels is None:
+        return SmoothedResult(result, "flattest", delta, True)
+    upper_level, lower_level = levels
+    v, k = p.values, p.k
+    meta = FlattestMeta(
+        upper_level,
+        lower_level,
+        upper_count=k - _rank(v, upper_level - tau, "left"),
+        lower_start=k - _rank(v, lower_level + tau, "right") + 1,
+    )
+    return SmoothedResult(result, "flattest", delta, False, meta)
+
+
+def _flattest_point(
+    p: Distribution, delta: float
+) -> tuple[Distribution, tuple[float, float] | None]:
+    """Build flattest(p, delta): its result and (upper, lower) levels, None when clamped."""
     k = p.k
     spread = p.values - 1.0 / k
     if float(np.abs(spread, out=spread).sum()) <= delta:
-        return SmoothedResult(uniform(k), "flattest", delta, True)
+        return uniform(k), None
     del spread  # freed before the level solves allocate theirs
     half = delta / 2.0
     v = p.values
@@ -152,16 +187,40 @@ def flattest(
     if upper_level <= lower_level:
         # only reachable within ulps of the uniform clamp boundary, or at
         # budget 0 on an all-equal vector whose sum is off 1 by float slack
-        return SmoothedResult(uniform(k), "flattest", delta, True)
+        return uniform(k), None
     vals = np.clip(v, lower_level, upper_level)
-    meta = FlattestMeta(
-        upper_level,
-        lower_level,
-        upper_count=k - _rank(v, upper_level - tau, "left"),
-        lower_start=k - _rank(v, lower_level + tau, "right") + 1,
-    )
-    result = _trusted(Distribution, values=vals, perm=p.perm)
-    return SmoothedResult(result, "flattest", delta, False, meta)
+    return _trusted(Distribution, values=vals, perm=p.perm), (upper_level, lower_level)
+
+
+def _extremal(
+    p: Distribution, delta: float, kind: str
+) -> tuple[Distribution, SteepestMeta | tuple[float, float] | None]:
+    """The `kind` point of p at the checked delta and its delta-determined internals.
+
+    p._extremes maps each kind to the last (delta, point, internals) built
+    from p, so each kind holds one slot and a call at the same delta reuses
+    it. The match is exact: 0.0 and -0.0 compare equal but can round a
+    level differently, so they must also agree in sign. steepest(p, 0) is
+    p itself and is not kept, or p would hold a reference to itself. A
+    slot is replaced whole, so concurrent callers can at worst build a
+    point twice, never read a point with another delta's internals.
+    """
+    memo = p._extremes
+    if memo is None:
+        memo = {}
+        object.__setattr__(p, "_extremes", memo)
+    hit = memo.get(kind)
+    if (
+        hit is not None
+        and hit[0] == delta
+        and math.copysign(1.0, hit[0]) == math.copysign(1.0, delta)
+    ):
+        return hit[1], hit[2]
+    build = _steepest_point if kind == "steepest" else _flattest_point
+    point, internals = build(p, delta)
+    if point is not p:
+        memo[kind] = (delta, point, internals)
+    return point, internals
 
 
 def _water_level(w: np.ndarray, budget: float, from_above: bool) -> float:
@@ -179,9 +238,9 @@ def _water_level(w: np.ndarray, budget: float, from_above: bool) -> float:
     full scan would, bit for bit; it costs the leveled block, not k.
 
     Budget 0 returns w[0] exactly. The budget must not level past the
-    far end of w; the one caller, flattest, passes delta/2 only when the
-    distance to uniform exceeds delta, and that keeps it below both the
-    mass above 1/k and the deficit below it.
+    far end of w; the one caller, _flattest_point, passes delta/2 only
+    when the distance to uniform exceeds delta, and that keeps it below
+    both the mass above 1/k and the deficit below it.
     """
     c = w.cumsum()
     shift = -budget if from_above else budget
@@ -228,5 +287,9 @@ def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:
 
 
 def lorenz_flattest(p: Distribution, delta: float) -> LorenzCurve:
-    """Lorenz curve of flattest(p, delta)."""
+    """Lorenz curve of flattest(p, delta).
+
+    Built from the flattest point p keeps (see flattest), so after a
+    flattest call at the same delta it builds no point, only the curve.
+    """
     return lorenz(flattest(p, delta).result)

@@ -387,3 +387,31 @@ def test_distribution_constructor_rejects_non_integer_perm(perm):
     # casting to intp would truncate these into a valid-looking permutation
     with pytest.raises(ValueError):
         mj.Distribution(np.array([0.7, 0.3]), np.array(perm))
+
+
+class TestValidatorsCopyTheCallersArrays:
+    """A validated object owns its arrays: the caller's stay writable and cannot change it."""
+
+    def test_distribution_values(self):
+        base = np.array([0.6, 0.4, 9.0])
+        d = mj.Distribution(base[:2], np.arange(2))
+        assert base.flags.writeable
+        base[0] = 0.1
+        assert d.values.tolist() == [0.6, 0.4]
+        assert not d.values.flags.writeable
+
+    def test_distribution_perm(self):
+        perm = np.array([1, 0], dtype=np.intp)
+        d = mj.Distribution(np.array([0.6, 0.4]), perm)
+        assert perm.flags.writeable
+        perm[:] = 0
+        assert d.perm.tolist() == [1, 0]
+        assert not d.perm.flags.writeable
+
+    def test_lorenz_cumulative(self):
+        base = np.array([0.0, 0.6, 1.0, 7.0])
+        curve = mj.LorenzCurve(base[:3])
+        assert base.flags.writeable
+        base[1] = 0.2
+        assert curve.cumulative.tolist() == [0.0, 0.6, 1.0]
+        assert not curve.cumulative.flags.writeable

@@ -1,11 +1,16 @@
+import collections
 import dataclasses
+import gc
 import hashlib
+import math
+import weakref
 
 import numpy as np
 import pytest
 
 import majorize as mj
 from majorize.errors import InvalidDeltaError
+from majorize import smoothing
 from majorize.smoothing import _water_level
 
 from conftest import ball_bases, random_distribution
@@ -457,3 +462,121 @@ class TestFrozenSmallK:
         # the sweep reaches both sides of the uniform clamp
         assert cases > 60000 and 0 < clamped < cases
         assert digest.hexdigest()[:16] == FROZEN_SMALL_K_FLATTEST
+
+
+def _fresh(p: mj.Distribution) -> mj.Distribution:
+    """An equal distribution that has built no extremal point yet."""
+    return mj.Distribution(p.values.copy(), p.perm.copy())
+
+
+def _record(sr) -> str:
+    return _frozen_record(_smoothed_record(sr))
+
+
+MEMO_BASES = {
+    **{f"{name}_{k}": p for k in (8, 1000) for name, p in ball_bases(k).items()},
+    "negative_zero": mj.make_distribution([0.5, 0.3, 0.2, -0.0]),
+    "uniform": mj.uniform(5),
+    "point_mass": mj.point_mass(3),
+}
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count the builds of each kind of extremal point."""
+    counts = collections.Counter()
+    for kind in ("steepest", "flattest"):
+        name = f"_{kind}_point"
+
+        def counted(p, delta, build=getattr(smoothing, name), kind=kind):
+            counts[kind] += 1
+            return build(p, delta)
+
+        monkeypatch.setattr(smoothing, name, counted)
+    return counts
+
+
+class TestExtremalPointMemo:
+    @pytest.mark.parametrize("name", sorted(MEMO_BASES))
+    def test_repeated_and_interleaved_calls_match_fresh_builds(self, name):
+        p = MEMO_BASES[name]
+        fns = mj.default_functions()
+        for delta in (0.3, 1e-13, 0.3, 0.05, 0.0, 0.05, 2.0, 0.3):
+            for _ in range(2):
+                assert _record(mj.steepest(p, delta)) == _record(mj.steepest(_fresh(p), delta))
+                assert _record(mj.flattest(p, delta)) == _record(mj.flattest(_fresh(p), delta))
+                got = mj.lorenz_flattest(p, delta).cumulative
+                assert got.tobytes() == mj.lorenz_flattest(_fresh(p), delta).cumulative.tobytes()
+                for g in fns:
+                    for smooth in (mj.smooth_max, mj.smooth_min):
+                        want = smooth(g, _fresh(p), delta)
+                        assert smooth(g, p, delta).hex() == want.hex()
+
+    @pytest.mark.parametrize("kind", ["steepest", "flattest"])
+    def test_alternating_budgets_never_return_a_stale_point(self, kind):
+        fn = getattr(mj, kind)
+        p = MEMO_BASES["random_8"]
+        first, second, again = fn(p, 0.2), fn(p, 0.4), fn(p, 0.2)
+        assert _record(first) != _record(second)
+        assert _record(again) == _record(first) == _record(fn(_fresh(p), 0.2))
+        assert fn(p, 0.2).result is again.result is not second.result
+
+    def test_flattest_hit_counts_its_blocks_at_the_callers_tau(self, builds):
+        # the top two entries level to 0.29745, within 1e-3 of the third
+        p = mj.make_distribution([0.3, 0.2999, 0.297, 0.1031], "renormalize")
+        default = mj.flattest(p, 0.01).meta
+        wide = mj.flattest(p, 0.01, tau=1e-3).meta
+        assert builds["flattest"] == 1
+        assert wide == mj.flattest(_fresh(p), 0.01, tau=1e-3).meta
+        assert (default.upper_count, wide.upper_count) == (2, 3)
+
+    def test_each_result_reports_the_callers_signed_zero(self):
+        # the lower level of the -0.0 entry keeps the budget's sign, so the
+        # two zeros are different keys
+        p = MEMO_BASES["negative_zero"]
+        for delta in (0.0, -0.0, 0.0, -0.0):
+            for fn in (mj.steepest, mj.flattest):
+                sr = fn(p, delta)
+                assert math.copysign(1.0, sr.delta) == math.copysign(1.0, delta)
+                assert _record(sr) == _record(fn(_fresh(p), delta))
+
+    def test_steepest_at_zero_leaves_no_reference_cycle(self):
+        p = mj.make_distribution([0.6, 0.4])
+        ref = weakref.ref(p)
+        gc.disable()
+        try:
+            assert mj.steepest(p, 0.0).result is p
+            mj.flattest(p, 0.0)
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_large_k_op_builds_each_point_once(self, builds):
+        rng = np.random.default_rng(5)
+        for g in mj.default_functions():
+            p = mj.make_distribution(rng.standard_exponential(1000), "renormalize")
+            delta = float(rng.uniform(0.05, 0.6))
+            mj.steepest(p, delta)
+            mj.flattest(p, delta)
+            mj.lorenz_steepest(p, delta)
+            mj.lorenz_flattest(p, delta)
+            mj.smooth_max(g, p, delta)
+            mj.smooth_min(g, p, delta)
+            mj.brute_force_extremum(g, p, delta, 3, 0, "max")
+        assert builds == {"steepest": 6, "flattest": 6}
+
+    def test_delta_sweep_revisit_rebuilds(self, builds):
+        p = MEMO_BASES["random_8"]
+        fns = mj.default_functions()
+        deltas = np.geomspace(1e-3, 1.5, 8).tolist()
+        for op in range(2):
+            for j, delta in enumerate(deltas):
+                mj.steepest(p, delta)
+                mj.flattest(p, delta)
+                mj.smooth_max(fns[j % len(fns)], p, delta)
+                mj.smooth_min(fns[j % len(fns)], p, delta)
+                mj.lorenz_flattest(p, delta)
+            # the second pass starts at the first budget while each slot
+            # holds the last, so every point is built again
+            assert builds == {"steepest": 8 * (op + 1), "flattest": 8 * (op + 1)}
