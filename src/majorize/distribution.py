@@ -59,10 +59,10 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ceil(log2 k) bits replaced by the input index, so equal values keep
     input order; the order is the sorted keys masked to those bits. Values
     that differ only in the dropped bits share a block of equal high key
-    bits and come out in index order; one stable sort of the entries of
-    every block that came out misordered, by block and then by the dropped
-    bits, puts them right. The gathered values are a new array the caller
-    may write.
+    bits and come out in index order; one stable argsort by value of the
+    entries of every block that came out misordered puts them right, since
+    blocks hold disjoint value ranges in descending order. The gathered
+    values are a new array the caller may write.
     """
     k = arr.size
     if (arr[:-1] >= arr[1:]).all():
@@ -91,19 +91,7 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         size = k - np.searchsorted(ascending, bits.view(np.float64), "left") - head
         at = np.repeat(head - np.cumsum(size) + size, size)
         at += np.arange(at.size)
-        # sort those entries by block, then by the dropped value bits, then
-        # by position: packed keys again, one sort per digit above the
-        # position, least significant digit first
-        place = np.uint64((at.size - 1).bit_length())
-        fix = np.arange(at.size)
-        for digit in (~s[at].view(np.uint64) & low,
-                      np.repeat(np.arange(size.size, dtype=np.uint64), size)):
-            keys = digit[fix] << place
-            keys |= np.arange(at.size, dtype=np.uint64)
-            keys.sort()
-            keys &= (np.uint64(1) << place) - np.uint64(1)
-            fix = fix[keys.view(np.int64)]
-        fix = at[fix]
+        fix = at[np.argsort(-s[at], kind="stable")]
         order[at] = order[fix]
         s[at] = s[fix]
     return order, s
@@ -163,8 +151,10 @@ class Distribution:
     def k(self) -> int:
         return self.values.size
 
-    def __getstate__(self) -> dict:
-        return {"values": self.values, "perm": self.perm}
+    def __reduce__(self):
+        # pickles and copies are rebuilt through the validator: new
+        # write-locked arrays and no kept extremal points
+        return (Distribution, (self.values, self.perm))
 
     def to_original_order(self) -> np.ndarray:
         """Return the entries permuted back to the caller's input order."""
@@ -228,6 +218,9 @@ class LorenzCurve:
     def k(self) -> int:
         return self.cumulative.size - 1
 
+    def __reduce__(self):
+        return (LorenzCurve, (self.cumulative,))
+
     @property
     def points(self) -> list[tuple[int, float]]:
         return [(l, float(c)) for l, c in enumerate(self.cumulative)]
@@ -257,10 +250,7 @@ def make_distribution(
     -------
     Distribution
         Stably sorted in descending order; ties keep input order, so the
-        recorded permutation is deterministic. The order comes from one
-        SIMD sort of packed uint64 keys (the value's bits above the index
-        width, then the input index) plus a repair of values that differ
-        only below the index width, and equals
+        recorded permutation is deterministic and equals
         ``np.argsort(-x, kind="stable")`` bit for bit; input that is already
         non-increasing is not sorted at all. Stored values are divided by
         the sum, so they sum to one at float precision.
@@ -284,7 +274,8 @@ def make_distribution(
         raise NegativeEntryError(f"entry {lowest} below -{tau_norm}")
     if lowest < 0.0:
         arr = np.where(arr > 0.0, arr, 0.0)
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):  # an infinite sum is rejected below
+        total = float(arr.sum())
     if policy == "reject":
         if abs(total - 1.0) > tau_norm:
             raise NotNormalizedError(f"sum {total} not within {tau_norm} of 1")

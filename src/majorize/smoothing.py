@@ -64,21 +64,27 @@ class FlattestMeta:
 class SmoothedResult:
     """An extremal perturbation plus how it was built.
 
-    clamped means the budget already covered the distance to the
-    absolute extreme (point mass or uniform), which is returned as is;
-    meta holds the construction internals of the matching `kind`, and
-    is None on a clamped result.
+    meta holds the construction internals of the matching `kind`, and is
+    None on a clamped result: one where the budget already covered the
+    distance to the absolute extreme (point mass or uniform), which is
+    returned as is.
     """
 
     result: Distribution
     kind: str
     delta: float
-    clamped: bool
     meta: SteepestMeta | FlattestMeta | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("steepest", "flattest"):
+        meta_type = {"steepest": SteepestMeta, "flattest": FlattestMeta}.get(self.kind)
+        if meta_type is None:
             raise ValueError(f"unknown kind: {self.kind!r}")
+        if not (self.meta is None or isinstance(self.meta, meta_type)):
+            raise TypeError(f"{self.kind} meta must be {meta_type.__name__} or None")
+
+    @property
+    def clamped(self) -> bool:
+        return self.meta is None
 
 
 def steepest(p: Distribution, delta: float) -> SmoothedResult:
@@ -98,7 +104,7 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     """
     delta = check_delta(delta)
     result, meta = _extremal(p, delta, "steepest")
-    return SmoothedResult(result, "steepest", delta, meta is None, meta)
+    return SmoothedResult(result, "steepest", delta, meta)
 
 
 def _steepest_point(p: Distribution, delta: float) -> tuple[Distribution, SteepestMeta | None]:
@@ -159,7 +165,7 @@ def flattest(
     delta = check_delta(delta)
     result, levels = _extremal(p, delta, "flattest")
     if levels is None:
-        return SmoothedResult(result, "flattest", delta, True)
+        return SmoothedResult(result, "flattest", delta)
     upper_level, lower_level = levels
     v, k = p.values, p.k
     meta = FlattestMeta(
@@ -168,7 +174,7 @@ def flattest(
         upper_count=k - _rank(v, upper_level - tau, "left"),
         lower_start=k - _rank(v, lower_level + tau, "right") + 1,
     )
-    return SmoothedResult(result, "flattest", delta, False, meta)
+    return SmoothedResult(result, "flattest", delta, meta)
 
 
 def _flattest_point(

@@ -1,7 +1,10 @@
 """The public surface: what `majorize` exports and what the benchmark harness wraps."""
 
+import copy
 import pickle
 from pathlib import Path
+
+import pytest
 
 import majorize as mj
 
@@ -72,3 +75,20 @@ def test_pickle_keeps_the_fields_and_drops_the_extremal_points():
     assert len(pickle.dumps(p)) == len(fresh)
     # a copy starts without the points and builds its own
     assert mj.flattest(pickle.loads(pickle.dumps(p)), 0.3).result is not mj.flattest(p, 0.3).result
+    # pickles and deep copies are rebuilt through the validators: same
+    # bytes, new write-locked arrays
+    sr = mj.flattest(p, 0.3)
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        c, curve, csr = clone(p), clone(mj.lorenz(p)), clone(sr)
+        pairs = [(c.values, p.values), (c.perm, p.perm),
+                 (curve.cumulative, mj.lorenz(p).cumulative),
+                 (csr.result.values, sr.result.values), (csr.result.perm, sr.result.perm)]
+        for got, want in pairs:
+            assert got is not want and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+    cls, (values, perm) = p.__reduce__()
+    with pytest.raises(ValueError):
+        cls(values[::-1], perm)
+    cls, (cumulative,) = mj.lorenz(p).__reduce__()
+    with pytest.raises(ValueError):
+        cls(cumulative[::-1])

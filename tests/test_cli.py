@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import golden
 from majorize.cli import main, main_entry
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -248,6 +253,18 @@ class TestErrorPaths:
         code, _, err = run(capsys, "check", str(f), str(f))
         assert code == 2
         assert err == "error: entries must be finite\n"
+
+    def test_overflowing_sum_prints_only_the_error(self, tmp_path):
+        # a child process, so a numpy warning would reach the real stderr
+        f = tmp_path / "big.json"
+        f.write_text('{"values": [1e308, 1e308]}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "majorize", "--input-policy", "renormalize", "lorenz", str(f)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: sum inf overflows\n"
 
     @pytest.mark.parametrize("flag", ["--tau", "--tau-norm"])
     def test_infinite_tolerance_is_exit_2(self, capsys, tmp_path, flag):

@@ -18,6 +18,7 @@ from conftest import ball_bases, random_distribution
 TIE_CLASSES = (
     "random", "half_zeros", "ninety_pct_zeros", "all_equal", "sorted",
     "one_decimal", "negative_zero", "subnormal", "tiny_negative", "near_tie",
+    "zero_block",
 )
 TIE_CASES = [
     (k, case, policy)
@@ -41,6 +42,12 @@ def _tie_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
     elif case == "subnormal":
         # still subnormal after dividing by a sum of up to 10**6
         x[hit] = 2.2e-310 * few[hit]
+    elif case == "zero_block":
+        # zeros of both signs and multiples of the smallest subnormal up to
+        # 7, whose bits differ only below the index width once k > 4, so the
+        # lowest key block mixes them (division by a large sum under
+        # "reject" leaves only the zeros)
+        x[hit] = np.where(few[hit] > 1, 5e-324 * rng.integers(0, 8, k)[hit], -0.0)
     elif case == "tiny_negative":
         x[hit] = -1e-12 * few[hit]
     elif case == "all_equal":
@@ -137,7 +144,7 @@ class TestMakeDistribution:
             mj.make_distribution([0.0, 0.0], "renormalize")
 
     def test_overflowing_sum_rejected_under_renormalize(self):
-        with pytest.raises(NotNormalizedError), np.errstate(over="ignore"):
+        with pytest.raises(NotNormalizedError):
             mj.make_distribution([1e308, 1e308], "renormalize")
 
     def test_non_finite_rejected(self):

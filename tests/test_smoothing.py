@@ -19,6 +19,17 @@ from conftest import ball_bases, random_distribution
 P = mj.make_distribution([0.6, 0.3, 0.1])
 
 
+class TestSmoothedResult:
+    def test_meta_must_match_the_kind(self):
+        # the removed form passed a clamped flag where meta now goes
+        with pytest.raises(TypeError):
+            mj.SmoothedResult(P, "flattest", 0.1, False)
+        with pytest.raises(TypeError):
+            mj.SmoothedResult(P, "flattest", 0.4, mj.SteepestMeta(1, 0.2))
+        with pytest.raises(ValueError):
+            mj.SmoothedResult(P, "sideways", 0.1)
+
+
 class TestSteepest:
     def test_known_three_point_case(self):
         out = mj.steepest(P, 0.4)
