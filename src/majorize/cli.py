@@ -54,10 +54,7 @@ def cmd_check(args: argparse.Namespace, config: Config) -> int:
 
 def cmd_approx(args: argparse.Namespace, config: Config) -> int:
     p = read_distribution(args.p_file, config)
-    if args.kind == "steepest":
-        sr = steepest(p, args.delta)
-    else:
-        sr = flattest(p, args.delta, tau=config.tau)
+    sr = (steepest if args.kind == "steepest" else flattest)(p, args.delta)
     # stdout and --out share one dict; reformatting its rounded floats is exact
     doc = smoothed_result_to_json(sr)
     print(f"kind: {doc['kind']}")

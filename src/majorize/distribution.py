@@ -199,6 +199,8 @@ class LorenzCurve:
 
     def __post_init__(self) -> None:
         cum = np.array(self.cumulative, dtype=np.float64)  # a copy, as in Distribution
+        if not np.all(np.isfinite(cum)):  # NaN fails every check below
+            raise ValueError("curve entries must be finite")
         if cum.ndim != 1 or cum.size < 2:
             raise EmptyInputError("curve needs at least the origin and one point")
         if cum[0] != 0.0:

@@ -101,9 +101,9 @@ def transfer_plan_to_json(plan: TransferPlan) -> dict:
     """Plan as {"steps": [{"i","j","t"}, ...], "k"}: O(k), no matrix."""
     return {
         "steps": [
-            {"i": s.i, "j": s.j, "t": round_float(s.t)} for s in plan.steps
+            {"i": int(s.i), "j": int(s.j), "t": round_float(s.t)} for s in plan.steps
         ],
-        "k": plan.k,
+        "k": int(plan.k),
     }
 
 
@@ -122,7 +122,7 @@ def transfer_plan_from_json(obj: dict) -> TransferPlan:
             for s in obj["steps"]
         )
         return TransferPlan(steps, field(obj["k"], int))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"malformed transfer plan: {exc}") from exc
 
 

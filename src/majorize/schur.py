@@ -24,7 +24,7 @@ from .distribution import (
     check_delta,
 )
 from .errors import AlphaOutOfRangeError, NegativeAlphaError, UnknownFunctionError
-from .smoothing import flattest, steepest
+from .smoothing import _extremal
 
 SCHUR_CONVEX = "schur_convex"
 SCHUR_CONCAVE = "schur_concave"
@@ -140,9 +140,7 @@ def extremal_point(
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     kind = _extremal_argument(f.direction, mode)
-    if kind == "steepest":
-        return kind, steepest(p, delta).result
-    return kind, flattest(p, delta).result
+    return kind, _extremal(p, check_delta(delta), kind).result
 
 
 def smooth_max(f: SchurFunction, p: Distribution, delta: float) -> float:
@@ -189,8 +187,8 @@ def brute_force_extremum(
     for start in range(0, n, _ORACLE_BLOCK):
         scores = f.fn(_ball_rows(p, delta, rng, min(_ORACLE_BLOCK, n - start)))
         best.append(pick(scores.tolist()))
-    best.append(f(steepest(p, delta).result))
-    best.append(f(flattest(p, delta).result))
+    for kind in ("steepest", "flattest"):
+        best.append(f(_extremal(p, delta, kind).result))
     return pick(best)
 
 

@@ -51,7 +51,8 @@ class FlattestMeta:
     Entries at or above upper_level are cut down to it; entries at or
     below lower_level are raised up to it. upper_count is the size of
     the leveled top block, lower_start the 1-based canonical index where
-    the raised bottom block begins.
+    the raised bottom block begins; both count the entries within
+    DEFAULT_TAU (1e-9) of a level as members of its block.
     """
 
     upper_level: float
@@ -97,14 +98,12 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     directly with clamped=True. The result majorizes every distribution
     within delta of p.
 
-    p keeps its last steepest point, so a repeat call at the same delta
+    p keeps its last steepest result, so a repeat call at the same delta
     (here or inside smooth_max, smooth_min, extremal_point and
-    brute_force_extremum) returns the same read-only result in a new
-    SmoothedResult; that costs at most one extra vector of size k.
+    brute_force_extremum) returns the same SmoothedResult; that costs at
+    most one extra vector of size k.
     """
-    delta = check_delta(delta)
-    result, meta = _extremal(p, delta, "steepest")
-    return SmoothedResult(result, "steepest", delta, meta)
+    return _extremal(p, check_delta(delta), "steepest")
 
 
 def _steepest_point(p: Distribution, delta: float) -> tuple[Distribution, SteepestMeta | None]:
@@ -144,9 +143,7 @@ def _steepest_point(p: Distribution, delta: float) -> tuple[Distribution, Steepe
     return _trusted(Distribution, values=vals, perm=p.perm), SteepestMeta(head, float(tail))
 
 
-def flattest(
-    p: Distribution, delta: float, *, tau: float = DEFAULT_TAU
-) -> SmoothedResult:
+def flattest(p: Distribution, delta: float) -> SmoothedResult:
     """Most spread-out distribution within l1 distance delta of p.
 
     Levels the largest entries down to an upper water level and the
@@ -155,32 +152,16 @@ def flattest(
     delta, it is returned directly with clamped=True. Every distribution
     within delta of p majorizes the result.
 
-    p keeps its last flattest point and its two levels, so a repeat call
-    at the same delta (here, in lorenz_flattest, smooth_max, smooth_min,
-    extremal_point and brute_force_extremum) returns the same read-only
-    result in a new SmoothedResult; that costs at most one extra vector
-    of size k. Only the block counts of meta, which depend on tau, are
-    worked out on every call.
+    p keeps its last flattest result, so a repeat call at the same delta
+    (here, in lorenz_flattest, smooth_max, smooth_min, extremal_point and
+    brute_force_extremum) returns the same SmoothedResult; that costs at
+    most one extra vector of size k.
     """
-    delta = check_delta(delta)
-    result, levels = _extremal(p, delta, "flattest")
-    if levels is None:
-        return SmoothedResult(result, "flattest", delta)
-    upper_level, lower_level = levels
-    v, k = p.values, p.k
-    meta = FlattestMeta(
-        upper_level,
-        lower_level,
-        upper_count=k - _rank(v, upper_level - tau, "left"),
-        lower_start=k - _rank(v, lower_level + tau, "right") + 1,
-    )
-    return SmoothedResult(result, "flattest", delta, meta)
+    return _extremal(p, check_delta(delta), "flattest")
 
 
-def _flattest_point(
-    p: Distribution, delta: float
-) -> tuple[Distribution, tuple[float, float] | None]:
-    """Build flattest(p, delta): its result and (upper, lower) levels, None when clamped."""
+def _flattest_point(p: Distribution, delta: float) -> tuple[Distribution, FlattestMeta | None]:
+    """Build flattest(p, delta): its result and meta, None when clamped."""
     k = p.k
     spread = p.values - 1.0 / k
     if float(np.abs(spread, out=spread).sum()) <= delta:
@@ -194,22 +175,26 @@ def _flattest_point(
         # only reachable within ulps of the uniform clamp boundary, or at
         # budget 0 on an all-equal vector whose sum is off 1 by float slack
         return uniform(k), None
+    meta = FlattestMeta(
+        upper_level,
+        lower_level,
+        upper_count=k - _rank(v, upper_level - DEFAULT_TAU, "left"),
+        lower_start=k - _rank(v, lower_level + DEFAULT_TAU, "right") + 1,
+    )
     vals = np.clip(v, lower_level, upper_level)
-    return _trusted(Distribution, values=vals, perm=p.perm), (upper_level, lower_level)
+    return _trusted(Distribution, values=vals, perm=p.perm), meta
 
 
-def _extremal(
-    p: Distribution, delta: float, kind: str
-) -> tuple[Distribution, SteepestMeta | tuple[float, float] | None]:
-    """The `kind` point of p at the checked delta and its delta-determined internals.
+def _extremal(p: Distribution, delta: float, kind: str) -> SmoothedResult:
+    """The `kind` SmoothedResult of p at the checked delta.
 
-    p._extremes maps each kind to the last (delta, point, internals) built
-    from p, so each kind holds one slot and a call at the same delta reuses
-    it. The match is exact: 0.0 and -0.0 compare equal but can round a
-    level differently, so they must also agree in sign. steepest(p, 0) is
-    p itself and is not kept, or p would hold a reference to itself. A
-    slot is replaced whole, so concurrent callers can at worst build a
-    point twice, never read a point with another delta's internals.
+    p._extremes maps each kind to the last result built from p, so each
+    kind holds one slot and a call at the same delta returns that very
+    object. The match is exact: 0.0 and -0.0 compare equal but can round
+    a level differently, so they must also agree in sign. steepest(p, 0)
+    is p itself and is not kept, or p would hold a reference to itself.
+    A slot is replaced whole, so concurrent callers can at worst build a
+    result twice, never read one built for another delta.
     """
     memo = p._extremes
     if memo is None:
@@ -218,15 +203,16 @@ def _extremal(
     hit = memo.get(kind)
     if (
         hit is not None
-        and hit[0] == delta
-        and math.copysign(1.0, hit[0]) == math.copysign(1.0, delta)
+        and hit.delta == delta
+        and math.copysign(1.0, hit.delta) == math.copysign(1.0, delta)
     ):
-        return hit[1], hit[2]
+        return hit
     build = _steepest_point if kind == "steepest" else _flattest_point
-    point, internals = build(p, delta)
+    point, meta = build(p, delta)
+    sr = SmoothedResult(point, kind, delta, meta)
     if point is not p:
-        memo[kind] = (delta, point, internals)
-    return point, internals
+        memo[kind] = sr
+    return sr
 
 
 def _water_level(w: np.ndarray, budget: float, from_above: bool) -> float:

@@ -1,6 +1,7 @@
 """The public surface: what `majorize` exports and what the benchmark harness wraps."""
 
 import copy
+import inspect
 import pickle
 from pathlib import Path
 
@@ -62,6 +63,63 @@ PUBLIC = (
 
 def test_public_names_are_pinned():
     assert sorted(mj.__all__) == sorted(PUBLIC)
+
+
+# parameters and defaults of every public function and class constructor
+# (exceptions keep Exception's), pinned so a new knob is deliberate
+SIGNATURES = {
+    "Config": "(tau=1e-09, tau_norm=1e-07, base=2.0, input_policy='reject')",
+    "Distribution": "(values, perm)",
+    "FlattestMeta": "(upper_level, lower_level, upper_count, lower_start)",
+    "LorenzCurve": "(cumulative)",
+    "SchurFunction": "(name, direction, fn)",
+    "SmoothedResult": "(result, kind, delta, meta=None)",
+    "SteepestMeta": "(head_count, tail_value)",
+    "TTransform": "(i, j, t)",
+    "TransferPlan": "(steps, k)",
+    "brute_force_extremum": "(f, p, delta, n, seed, mode)",
+    "check_delta": "(delta)",
+    "default_functions": "(base=2.0)",
+    "extremal_point": "(f, p, delta, mode)",
+    "first_failing_prefix": "(p, q, *, tau=1e-09)",
+    "flattest": "(p, delta)",
+    "l1_distance": "(p, q)",
+    "lorenz": "(p)",
+    "lorenz_flattest": "(p, delta)",
+    "lorenz_steepest": "(p, delta)",
+    "majorization_distance": "(p, q)",
+    "majorizes": "(p, q, *, tau=1e-09)",
+    "make_distribution": "(raw, policy='reject', *, tau_norm=1e-07)",
+    "parse_function_spec": "(spec, base=2.0)",
+    "point_mass": "(k)",
+    "renyi_entropy": "(alpha, base=2.0)",
+    "sample_delta_ball": "(p, delta, seed)",
+    "sample_majorized_pair": "(k, seed)",
+    "shannon": "(base=2.0)",
+    "smooth_max": "(f, p, delta)",
+    "smooth_min": "(f, p, delta)",
+    "steepest": "(p, delta)",
+    "sum_of_powers": "(alpha)",
+    "transfer_plan": "(p, q, *, tau=1e-09)",
+    "uniform": "(k)",
+}
+
+
+def _bare_signature(obj) -> str:
+    sig = inspect.signature(obj)
+    params = [p.replace(annotation=inspect.Parameter.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=params, return_annotation=inspect.Signature.empty))
+
+
+def test_public_signatures_are_pinned():
+    callables = {
+        name for name in mj.__all__
+        if callable(obj := getattr(mj, name))
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert callables == set(SIGNATURES)
+    got = {name: _bare_signature(getattr(mj, name)) for name in callables}
+    assert got == SIGNATURES
 
 
 def test_pickle_keeps_the_fields_and_drops_the_extremal_points():

@@ -10,6 +10,7 @@ import pytest
 
 import golden
 from majorize.cli import main, main_entry
+from majorize.config import Config
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -278,6 +279,17 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err == "error: tolerances must be positive and finite\n"
+
+    @pytest.mark.parametrize(
+        ("knobs", "message"),
+        [
+            ({"tau": 1e-6, "tau_norm": 1e-7}, "tau must not exceed tau_norm"),
+            ({"input_policy": "x"}, "unknown input policy"),
+        ],
+    )
+    def test_config_rejects_inconsistent_knobs(self, knobs, message):
+        with pytest.raises(ValueError, match=message):
+            Config(**knobs)
 
     def test_unsupported_extension(self, capsys, tmp_path):
         f = tmp_path / "p.txt"

@@ -158,6 +158,10 @@ class TestMakeDistribution:
         with pytest.raises(ValueError, match="entries must be finite"):
             mj.make_distribution([10**400, 1], "renormalize")
 
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="flat vector"):
+            mj.make_distribution([[0.5, 0.5]])
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             mj.make_distribution([1.0], "fix-it-for-me")
@@ -228,6 +232,11 @@ class TestLorenz:
             mj.LorenzCurve(np.array([0.0, 0.2, 1.0]))  # convex corner
         with pytest.raises(NotNormalizedError):
             mj.LorenzCurve(np.array([0.0, 0.5, 0.9]))
+        for bad in ([0.0, np.nan, 1.0], [0.0, 0.5, np.nan, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                mj.LorenzCurve(np.array(bad))
+        with pytest.raises(EmptyInputError):
+            mj.LorenzCurve(np.array([0.0]))  # the origin alone
 
 
 class TestSampleDeltaBall:
@@ -382,6 +391,14 @@ class TestSampleMajorizedPair:
 def test_distribution_constructor_rejects_unsorted():
     with pytest.raises(ValueError):
         mj.Distribution(np.array([0.3, 0.7]), np.array([0, 1]))
+
+
+@pytest.mark.parametrize(
+    ("values", "error"), [([], EmptyInputError), ([0.5, 0.4], NotNormalizedError)]
+)
+def test_distribution_constructor_rejects_bad_values(values, error):
+    with pytest.raises(error):
+        mj.Distribution(np.array(values), np.arange(len(values)))
 
 
 def test_distribution_constructor_rejects_bad_perm():

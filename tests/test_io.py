@@ -160,8 +160,14 @@ class TestTransferPlanJson:
         assert back.k == plan.k
         assert back.matrix == pytest.approx(plan.matrix, abs=1e-12)
 
+    def test_numpy_integer_fields_round_trip(self):
+        plan = mj.TransferPlan((mj.TTransform(np.int64(0), np.int64(1), 0.5),), np.int64(2))
+        back = transfer_plan_from_json(json.loads(json.dumps(transfer_plan_to_json(plan))))
+        assert back.steps == plan.steps
+        assert back.k == 2
+
     def test_malformed(self):
-        bad_steps = [[{"i": 0}], [{"i": 0, "j": 1, "t": "0.5"}]] + [
+        bad_steps = [[{"i": 0}]] + [[{"i": 0, "j": 1, "t": t}] for t in ("0.5", 10**400)] + [
             [{"i": i, "j": j, "t": 0.5}]
             for i, j in ((5, 1), (0, 2), (-1, 1), (0, -1), (0, 1.9), (True, 0), ("1", 0))
         ]

@@ -52,6 +52,16 @@ class TestSteepest:
         assert out.clamped
         assert out.meta is None
 
+    def test_float_cut_before_the_first_entry_clamps(self):
+        # inside the 1e-7 mass slack p1 + delta/2 passes 1, while the float
+        # distance to the point mass (0.79999995) still exceeds delta
+        p = mj.Distribution(np.array([0.6 + 5e-8, 0.4]), np.arange(2))
+        delta = 0.8 - 6e-8
+        assert mj.l1_distance(p, mj.point_mass(2)) > delta
+        out = mj.steepest(p, delta)
+        assert out.result.values.tolist() == [1.0, 0.0]
+        assert out.clamped
+
     def test_four_point_cut_position(self):
         p = mj.make_distribution([0.4, 0.3, 0.2, 0.1])
         out = mj.steepest(p, 0.2)
@@ -531,15 +541,16 @@ class TestExtremalPointMemo:
         assert _record(first) != _record(second)
         assert _record(again) == _record(first) == _record(fn(_fresh(p), 0.2))
         assert fn(p, 0.2).result is again.result is not second.result
+        assert fn(p, 0.2) is again
 
-    def test_flattest_hit_counts_its_blocks_at_the_callers_tau(self, builds):
-        # the top two entries level to 0.29745, within 1e-3 of the third
+    def test_flattest_counts_its_blocks_at_the_default_tau(self, builds):
+        # the top two entries level to 0.29745, more than 1e-9 above the third
         p = mj.make_distribution([0.3, 0.2999, 0.297, 0.1031], "renormalize")
-        default = mj.flattest(p, 0.01).meta
-        wide = mj.flattest(p, 0.01, tau=1e-3).meta
+        meta = mj.flattest(p, 0.01).meta
+        assert mj.flattest(p, 0.01).meta is meta
         assert builds["flattest"] == 1
-        assert wide == mj.flattest(_fresh(p), 0.01, tau=1e-3).meta
-        assert (default.upper_count, wide.upper_count) == (2, 3)
+        assert meta == mj.flattest(_fresh(p), 0.01).meta
+        assert meta.upper_count == 2
 
     def test_each_result_reports_the_callers_signed_zero(self):
         # the lower level of the -0.0 entry keeps the budget's sign, so the
