@@ -9,6 +9,7 @@ Distances are l1 distances between canonical vectors (maximum 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, TypeVar, Union
 
 import numpy as np
@@ -122,16 +123,14 @@ class Distribution:
     values: np.ndarray
     perm: np.ndarray
 
-    # the last steepest and flattest points built from this distribution,
-    # set by smoothing._extremal; not a field, so not compared or pickled
-    _extremes = None
-
     def __post_init__(self) -> None:
         # copies: the caller's arrays stay writable and cannot change ours
         values = np.array(self.values, dtype=np.float64)
         perm = np.array(self.perm)
         if values.ndim != 1 or values.size == 0:
             raise EmptyInputError("distribution needs at least one entry")
+        if not np.all(np.isfinite(values)):  # a lone NaN has no order pair to fail
+            raise ValueError("values must be finite")
         if values[-1] < 0.0 or not np.all(values[:-1] >= values[1:]):
             raise ValueError("values must be non-increasing and nonnegative")
         if abs(float(values.sum()) - 1.0) > _STRUCT_TOL:
@@ -151,9 +150,20 @@ class Distribution:
     def k(self) -> int:
         return self.values.size
 
+    @cached_property
+    def _memo(self) -> dict:
+        """What the library derived from values, kept for repeat calls.
+
+        "lorenz" holds lorenz's curve; "steepest" and "flattest" the last
+        SmoothedResult of each kind (smoothing._extremal); "gap" the last
+        worst prefix gap against a weakly referenced q (order._max_gap).
+        Not a field, so not compared, pickled or copied.
+        """
+        return {}
+
     def __reduce__(self):
         # pickles and copies are rebuilt through the validator: new
-        # write-locked arrays and no kept extremal points
+        # write-locked arrays and nothing kept
         return (Distribution, (self.values, self.perm))
 
     def to_original_order(self) -> np.ndarray:
@@ -177,8 +187,10 @@ def _trusted(cls: type[_T], **arrays: np.ndarray) -> _T:
     its finite sum; uniform and point_mass closed forms; the samplers
     clamped convex combinations of distributions, sorted by
     _canonical_order or a stable argsort; steepest and flattest sorted,
-    mass-keeping edits of p with p's perm; lorenz and lorenz_steepest
-    prefix sums from 0 of a canonical vector, capped at 1.
+    mass-keeping edits of p with p's perm; lorenz the prefix sums from 0
+    of a canonical vector, and lorenz_steepest a copy of them shifted by
+    delta/2 and capped at 1. Kept objects are shared by every later
+    caller, so the write lock is what keeps them valid.
     """
     obj = object.__new__(cls)
     for name, arr in arrays.items():
@@ -318,11 +330,20 @@ def l1_distance(p: Distribution, q: Distribution) -> float:
 
 
 def lorenz(p: Distribution) -> LorenzCurve:
-    """Lorenz curve of p: points (l, mass of the l largest entries)."""
-    cum = np.empty(p.k + 1)
-    cum[0] = 0.0
-    np.cumsum(p.values, out=cum[1:])
-    return _trusted(LorenzCurve, cumulative=cum)
+    """Lorenz curve of p: points (l, mass of the l largest entries).
+
+    Built on the first call and kept by p, so every later call returns
+    the same read-only curve; steepest, flattest's upper level and
+    lorenz_steepest read p's prefix sums from it. It costs one extra
+    vector of size k + 1.
+    """
+    curve = p._memo.get("lorenz")
+    if curve is None:
+        cum = np.empty(p.k + 1)
+        cum[0] = 0.0
+        np.cumsum(p.values, out=cum[1:])
+        curve = p._memo["lorenz"] = _trusted(LorenzCurve, cumulative=cum)
+    return curve
 
 
 def sample_delta_ball(p: Distribution, delta: float, seed: SeedLike) -> Distribution:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,13 +26,31 @@ def _prefix_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.cumsum(gap, out=gap)
 
 
+def _max_gap(p: Distribution, q: Distribution) -> float:
+    """The largest entry of _prefix_gap(p.values, q.values), kept by p.
+
+    p keeps the last one beside a weak reference to q, so a repeat call
+    on the same q object reads it back with no prefix sum, and p never
+    keeps q alive; once q is dropped its reference reads None and matches
+    no later q.
+    """
+    kept = p._memo.get("gap")
+    if kept is not None and kept[0]() is q:
+        return kept[1]
+    gap = float(_prefix_gap(p.values, q.values).max())
+    p._memo["gap"] = (weakref.ref(q), gap)
+    return gap
+
+
 def majorizes(p: Distribution, q: Distribution, *, tau: float = DEFAULT_TAU) -> bool:
     """True when every prefix sum of p dominates the same prefix of q.
 
-    Both arguments are already canonical, so this is a single prefix-gap
-    scan; the final prefixes agree by normalization.
+    Both arguments are already canonical, so this reads the worst prefix
+    gap of p against q, which p keeps for its last q (a later
+    majorization_distance(p, q) or majorizes at another tau reuses it);
+    the final prefixes agree by normalization.
     """
-    return bool(_prefix_gap(p.values, q.values).max() <= tau)
+    return _max_gap(p, q) <= tau
 
 
 def first_failing_prefix(
@@ -52,9 +71,10 @@ def majorization_distance(p: Distribution, q: Distribution) -> float:
 
     Equals twice the worst prefix-sum deficit of p against q, clamped at
     zero; it is also the least delta such that p majorizes some
-    delta-perturbation of q, and it never exceeds 2.
+    delta-perturbation of q, and it never exceeds 2. The deficit is the
+    one majorizes(p, q) reads, kept by p for its last q.
     """
-    return max(0.0, 2.0 * float(_prefix_gap(p.values, q.values).max()))
+    return max(0.0, 2.0 * _max_gap(p, q))
 
 
 def _mix(values, i: int, j: int, t: float) -> None:

@@ -101,7 +101,8 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     p keeps its last steepest result, so a repeat call at the same delta
     (here or inside smooth_max, smooth_min, extremal_point and
     brute_force_extremum) returns the same SmoothedResult; that costs at
-    most one extra vector of size k.
+    most one extra vector of size k. The cut reads p's kept Lorenz curve
+    (see lorenz).
     """
     return _extremal(p, check_delta(delta), "steepest")
 
@@ -117,7 +118,7 @@ def _steepest_point(p: Distribution, delta: float) -> tuple[Distribution, Steepe
     if delta == 0.0:
         return p, SteepestMeta(k, 0.0)
     half = delta / 2.0
-    prefix = np.cumsum(p.values, out=gap)
+    prefix = lorenz(p).cumulative[1:]
     # ulp slack keeps exact-boundary cuts (prefix + half == 1) inclusive;
     # the prefix sums of non-negative entries never decrease
     head = int(np.searchsorted(prefix, 1.0 - half + 1e-12, "right"))
@@ -126,10 +127,9 @@ def _steepest_point(p: Distribution, delta: float) -> tuple[Distribution, Steepe
         # only reachable within ulps of the clamp boundary
         return point_mass(k), None
     kept = float(prefix[head - 1])
-    vals = prefix  # the prefix sums are spent; their buffer takes the result
-    vals[:head] = p.values[:head]
+    vals = gap  # the check's copy of p takes the result; only its first entry changed
+    vals[0] = p.values[0] + half
     vals[head:] = 0.0
-    vals[0] += half
     if head < k:
         tail = 1.0 - (kept + half)
         # mathematically 0 <= tail <= next entry; clamp off float noise
@@ -155,7 +155,8 @@ def flattest(p: Distribution, delta: float) -> SmoothedResult:
     p keeps its last flattest result, so a repeat call at the same delta
     (here, in lorenz_flattest, smooth_max, smooth_min, extremal_point and
     brute_force_extremum) returns the same SmoothedResult; that costs at
-    most one extra vector of size k.
+    most one extra vector of size k. The upper level reads p's kept
+    Lorenz curve (see lorenz).
     """
     return _extremal(p, check_delta(delta), "flattest")
 
@@ -163,14 +164,15 @@ def flattest(p: Distribution, delta: float) -> SmoothedResult:
 def _flattest_point(p: Distribution, delta: float) -> tuple[Distribution, FlattestMeta | None]:
     """Build flattest(p, delta): its result and meta, None when clamped."""
     k = p.k
-    spread = p.values - 1.0 / k
-    if float(np.abs(spread, out=spread).sum()) <= delta:
+    # one buffer: the spread to uniform, the lower level's prefix sums, the result
+    buf = p.values - 1.0 / k
+    if float(np.abs(buf, out=buf).sum()) <= delta:
         return uniform(k), None
-    del spread  # freed before the level solves allocate theirs
     half = delta / 2.0
     v = p.values
-    upper_level = _water_level(v, half, from_above=True)
-    lower_level = _water_level(v[::-1], half, from_above=False)
+    upper_level = _water_level(v, lorenz(p).cumulative[1:], half, from_above=True)
+    w = v[::-1]
+    lower_level = _water_level(w, np.cumsum(w, out=buf), half, from_above=False)
     if upper_level <= lower_level:
         # only reachable within ulps of the uniform clamp boundary, or at
         # budget 0 on an all-equal vector whose sum is off 1 by float slack
@@ -181,14 +183,14 @@ def _flattest_point(p: Distribution, delta: float) -> tuple[Distribution, Flatte
         upper_count=k - _rank(v, upper_level - DEFAULT_TAU, "left"),
         lower_start=k - _rank(v, lower_level + DEFAULT_TAU, "right") + 1,
     )
-    vals = np.clip(v, lower_level, upper_level)
+    vals = np.clip(v, lower_level, upper_level, out=buf)
     return _trusted(Distribution, values=vals, perm=p.perm), meta
 
 
 def _extremal(p: Distribution, delta: float, kind: str) -> SmoothedResult:
     """The `kind` SmoothedResult of p at the checked delta.
 
-    p._extremes maps each kind to the last result built from p, so each
+    p._memo maps each kind to the last result built from p, so each
     kind holds one slot and a call at the same delta returns that very
     object. The match is exact: 0.0 and -0.0 compare equal but can round
     a level differently, so they must also agree in sign. steepest(p, 0)
@@ -196,10 +198,7 @@ def _extremal(p: Distribution, delta: float, kind: str) -> SmoothedResult:
     A slot is replaced whole, so concurrent callers can at worst build a
     result twice, never read one built for another delta.
     """
-    memo = p._extremes
-    if memo is None:
-        memo = {}
-        object.__setattr__(p, "_extremes", memo)
+    memo = p._memo
     hit = memo.get(kind)
     if (
         hit is not None
@@ -215,15 +214,16 @@ def _extremal(p: Distribution, delta: float, kind: str) -> SmoothedResult:
     return sr
 
 
-def _water_level(w: np.ndarray, budget: float, from_above: bool) -> float:
+def _water_level(w: np.ndarray, c: np.ndarray, budget: float, from_above: bool) -> float:
     """Water level x: leveling the leading entries of the monotone w to x moves budget.
 
     From above (w non-increasing) the top entries are cut down to x, from
     below (w non-decreasing) the bottom ones raised up to it. With the
     first m+1 entries leveled, x = (c[m] -/+ budget)/(m+1) for the prefix
-    sums c; the segment is the first m whose x does not pass w[m+1]
-    (x >= w[m+1] from above, <= from below), or else the last m. One
-    cumsum, then a bisection over that float predicate. Rounded, it can
+    sums c of w, which the caller passes and the solve never writes (from
+    above they are p's kept Lorenz curve); the segment is the first m
+    whose x does not pass w[m+1] (x >= w[m+1] from above, <= from below),
+    or else the last m. A bisection over that float predicate. Rounded, it can
     flip along a tie run (True, False, True on the renormalized
     [0.6, 0.7, 0.7] from below at budget 0.05), so one vectorized pass
     over the prefix before the bisected m takes the first passing m, as a
@@ -234,7 +234,6 @@ def _water_level(w: np.ndarray, budget: float, from_above: bool) -> float:
     when the distance to uniform exceeds delta, and that keeps it below
     both the mass above 1/k and the deficit below it.
     """
-    c = w.cumsum()
     shift = -budget if from_above else budget
     passes = operator.ge if from_above else operator.le
     lo, hi = 0, w.size - 1
@@ -245,8 +244,7 @@ def _water_level(w: np.ndarray, budget: float, from_above: bool) -> float:
         else:
             lo = mid + 1
     if hi > 1:  # hi - 1 failed its probe; an earlier m may still pass
-        head = c[: hi - 1]
-        head += shift
+        head = c[: hi - 1] + shift
         head /= np.arange(1.0, hi)
         ok = passes(head, w[1:hi])
         first = int(ok.argmax())
@@ -264,24 +262,24 @@ def _rank(v: np.ndarray, x: float, side: str) -> int:
 
 
 def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:
-    """Lorenz curve of steepest(p, delta) without building the vector.
+    """Lorenz curve of steepest(p, delta), in closed form from lorenz(p).
 
-    Every prefix sum shifts up by delta/2, capped at 1; agrees pointwise
+    Every prefix sum of p's kept curve shifts up by delta/2, capped at 1,
+    in one new vector and with no prefix sum of its own; agrees pointwise
     with lorenz() of the constructed result, clamped cases included.
     """
     delta = check_delta(delta)
-    cum = np.empty(p.k + 1)
+    cum = lorenz(p).cumulative + delta / 2.0
+    np.minimum(cum, 1.0, out=cum)
     cum[0] = 0.0
-    prefix = np.cumsum(p.values, out=cum[1:])
-    prefix += delta / 2.0
-    np.minimum(prefix, 1.0, out=prefix)
     return _trusted(LorenzCurve, cumulative=cum)
 
 
 def lorenz_flattest(p: Distribution, delta: float) -> LorenzCurve:
     """Lorenz curve of flattest(p, delta).
 
-    Built from the flattest point p keeps (see flattest), so after a
-    flattest call at the same delta it builds no point, only the curve.
+    lorenz of the flattest point p keeps (see flattest), which keeps the
+    curve in turn, so after a flattest call at the same delta this builds
+    no point, and a repeat call returns the same curve.
     """
     return lorenz(flattest(p, delta).result)

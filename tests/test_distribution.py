@@ -394,7 +394,9 @@ def test_distribution_constructor_rejects_unsorted():
 
 
 @pytest.mark.parametrize(
-    ("values", "error"), [([], EmptyInputError), ([0.5, 0.4], NotNormalizedError)]
+    ("values", "error"),
+    # a lone NaN has no order pair to fail and a NaN sum passes the sum check
+    [([], EmptyInputError), ([0.5, 0.4], NotNormalizedError), ([np.nan], ValueError)],
 )
 def test_distribution_constructor_rejects_bad_values(values, error):
     with pytest.raises(error):

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -162,6 +164,78 @@ class TestMajorizationDistance:
             else:
                 lo = mid
         assert abs(hi - mj.majorization_distance(a, b)) < 1e-9
+
+
+def _fresh(p: mj.Distribution) -> mj.Distribution:
+    """An equal distribution that has compared against nothing yet."""
+    return mj.Distribution(p.values.copy(), p.perm.copy())
+
+
+def _pair_record(p, q, tau: float) -> tuple:
+    """Both predicate directions at tau and both distances, the floats in hex."""
+    return (
+        mj.majorizes(p, q, tau=tau),
+        mj.majorizes(q, p, tau=tau),
+        mj.majorization_distance(p, q).hex(),
+        mj.majorization_distance(q, p).hex(),
+    )
+
+
+class TestPairMemo:
+    """p keeps its worst prefix gap against the last q it was compared with."""
+
+    def test_repeated_and_interleaved_calls_match_fresh_builds(self):
+        rng = np.random.default_rng(17)
+        for k in (1, 2, 5, 1000):
+            p, q = mj.sample_majorized_pair(k, rng)
+            r = random_distribution(rng, k=k)
+            for a, b in ((p, q), (q, p), (p, r), (p, q), (r, q), (p, p), (p, q)):
+                for tau in (1e-9, 0.0, 1e-9, 1.0):
+                    assert _pair_record(a, b, tau) == _pair_record(_fresh(a), _fresh(b), tau)
+                gap = float(np.cumsum(b.values - a.values).max())
+                assert mj.majorization_distance(a, b).hex() == max(0.0, 2.0 * gap).hex()
+
+    def test_a_dropped_q_never_answers_for_a_new_one(self):
+        # each q is dropped before the next is built, and most take the
+        # dropped one's address, so a memo keyed on id(q) would hand them
+        # the old answer
+        rng = np.random.default_rng(18)
+        p = random_distribution(rng, k=6)
+        others = [random_distribution(rng, k=6) for _ in range(40)]
+        want = []
+        for o in others:
+            gap = float(np.cumsum(o.values - p.values).max())
+            want.append((max(0.0, 2.0 * gap), gap <= mj.DEFAULT_TAU))
+        got = []
+        for o in others:
+            q = mj.Distribution(o.values, o.perm)
+            got.append((mj.majorization_distance(p, q), mj.majorizes(p, q)))
+            del q
+        assert got == want
+
+    def test_p_does_not_keep_q_alive(self):
+        p = mj.make_distribution([0.6, 0.4])
+        q = mj.make_distribution([0.5, 0.5])
+        ref = weakref.ref(q)
+        gc.disable()
+        try:
+            assert mj.majorizes(p, q)
+            del q
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_self_comparison_leaves_no_reference_cycle(self):
+        p = mj.make_distribution([0.6, 0.4])
+        ref = weakref.ref(p)
+        gc.disable()
+        try:
+            assert mj.majorizes(p, p)
+            assert mj.majorization_distance(p, p) == 0.0
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTTransform:

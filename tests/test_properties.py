@@ -139,6 +139,26 @@ def test_distance_witnesses(p, q):
     assert mj.majorizes(p, mj.flattest(q, d).result)
 
 
+@st.composite
+def triples(draw, kmax=8):
+    k = draw(st.integers(1, kmax))
+    return tuple(draw(distributions(kmin=k, kmax=k)) for _ in range(3))
+
+
+@settings(deadline=None)
+@given(triples())
+def test_distance_obeys_the_triangle_inequality(triple):
+    p, q, r = triple
+    d = mj.majorization_distance
+    pq, qr, pr = d(p, q), d(q, r), d(p, r)
+    # each distance is twice a running sum of k differences whose sizes add
+    # to at most 2, so it is within about 2k eps of exact: 6k eps for the
+    # three, and the bound allows twice that
+    assert pr <= pq + qr + 12 * p.k * np.finfo(float).eps
+    # p now keeps its gap against r; q's is recomputed, not r's returned
+    assert d(p, q) == pq and d(p, r) == pr
+
+
 @settings(deadline=None, max_examples=60)
 @given(majorized_pairs())
 def test_transfer_plans_reach_the_target(pair):

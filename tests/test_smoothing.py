@@ -258,7 +258,8 @@ class TestWaterLevelFirstSegment:
         # from below the segment predicate reads True, False, True here;
         # a bisection without its first-segment pass returns 0x1.6666666666668p-2
         p = mj.make_distribution([0.6, 0.7, 0.7], "renormalize")
-        level = _water_level(p.values[::-1], 0.05, from_above=False)
+        w = p.values[::-1]
+        level = _water_level(w, w.cumsum(), 0.05, from_above=False)
         assert level.hex() == (0.35000000000000003).hex()
 
     def test_matches_the_argmax_scan(self):
@@ -272,14 +273,28 @@ class TestWaterLevelFirstSegment:
                 deficit = k * float(v[0]) - float(v.sum()) + 1e-9
                 for budget in (1e-13, 1e-3, 0.1, 0.3):
                     if budget <= mass:
-                        upper = _water_level(v, budget, from_above=True)
+                        upper = _water_level(v, v.cumsum(), budget, from_above=True)
                         assert upper.hex() == _argmax_water_level(v, budget).hex()
                         solved += 1
                     if budget <= deficit:
-                        lower = _water_level(v[::-1], budget, from_above=False)
-                        assert lower.hex() == (-_argmax_water_level(-v[::-1], budget)).hex()
+                        w = v[::-1]
+                        lower = _water_level(w, w.cumsum(), budget, from_above=False)
+                        assert lower.hex() == (-_argmax_water_level(-w, budget)).hex()
                         solved += 1
         assert solved > 11000
+
+    def test_reads_write_locked_prefix_sums_and_leaves_them_unchanged(self):
+        # flattest passes p's kept Lorenz curve, which every later caller shares;
+        # both budgets level enough entries to reach the first-segment pass
+        p = mj.make_distribution(np.random.default_rng(43).random(50), "renormalize")
+        v, w = p.values, p.values[::-1]
+        for x, c, from_above in ((v, mj.lorenz(p).cumulative[1:], True), (w, w.cumsum(), False)):
+            c.setflags(write=False)
+            before = c.tobytes()
+            for budget in (0.05, 0.2):
+                level = _water_level(x, c, budget, from_above)
+                assert level.hex() == _water_level(x, x.cumsum(), budget, from_above).hex()
+            assert c.tobytes() == before
 
 
 class TestClosedFormLorenz:
@@ -526,8 +541,10 @@ class TestExtremalPointMemo:
             for _ in range(2):
                 assert _record(mj.steepest(p, delta)) == _record(mj.steepest(_fresh(p), delta))
                 assert _record(mj.flattest(p, delta)) == _record(mj.flattest(_fresh(p), delta))
-                got = mj.lorenz_flattest(p, delta).cumulative
-                assert got.tobytes() == mj.lorenz_flattest(_fresh(p), delta).cumulative.tobytes()
+                for curve in (mj.lorenz_steepest, mj.lorenz_flattest):
+                    got = curve(p, delta).cumulative
+                    assert got.tobytes() == curve(_fresh(p), delta).cumulative.tobytes()
+                assert mj.lorenz(p).cumulative.tobytes() == mj.lorenz(_fresh(p)).cumulative.tobytes()
                 for g in fns:
                     for smooth in (mj.smooth_max, mj.smooth_min):
                         want = smooth(g, _fresh(p), delta)
@@ -573,6 +590,48 @@ class TestExtremalPointMemo:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_lorenz_is_kept_and_write_locked(self):
+        p = _fresh(MEMO_BASES["random_1000"])
+        curve = mj.lorenz(p)
+        assert mj.lorenz(p) is curve
+        assert not curve.cumulative.flags.writeable
+        with pytest.raises(ValueError):
+            curve.cumulative[1] = 0.5
+        # the builders that read the kept curve leave it as it was
+        want = mj.lorenz(_fresh(p)).cumulative.tobytes()
+        for delta in (0.3, 1e-13, 0.05):
+            mj.steepest(p, delta), mj.flattest(p, delta), mj.lorenz_steepest(p, delta)
+        assert mj.lorenz(p) is curve and curve.cumulative.tobytes() == want
+
+    def test_lorenz_steepest_is_the_shifted_curve(self):
+        # the closed form on its own prefix sums, bit for bit
+        for p in MEMO_BASES.values():
+            for delta in (0.0, -0.0, 1e-13, 0.05, 0.3, 2.0):
+                want = np.zeros(p.k + 1)
+                want[1:] = np.minimum(np.cumsum(p.values) + delta / 2.0, 1.0)
+                assert mj.lorenz_steepest(p, delta).cumulative.tobytes() == want.tobytes()
+
+    def test_large_k_op_takes_each_prefix_sum_once(self, monkeypatch):
+        # p's curve, the lower level, the pair's gap and the flattest point's curve;
+        # a repeat op on the same objects takes none
+        calls = collections.Counter()
+        cumsum = np.cumsum
+
+        def counted(a, *args, **kwargs):
+            calls[a.size] += 1
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counted)
+        rng = np.random.default_rng(6)
+        p, q = (mj.make_distribution(rng.standard_exponential(1000), "renormalize") for _ in "pq")
+        g = mj.default_functions()[0]
+        for _ in range(2):
+            mj.steepest(p, 0.3), mj.flattest(p, 0.3)
+            mj.lorenz_steepest(p, 0.3), mj.lorenz_flattest(p, 0.3)
+            mj.majorizes(p, q), mj.majorization_distance(p, q)
+            mj.smooth_max(g, p, 0.3), mj.smooth_min(g, p, 0.3)
+            assert calls == {1000: 4}
 
     def test_large_k_op_builds_each_point_once(self, builds):
         rng = np.random.default_rng(5)
