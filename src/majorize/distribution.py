@@ -155,8 +155,8 @@ class Distribution:
         """What the library derived from values, kept for repeat calls.
 
         "lorenz" holds lorenz's curve; "steepest" and "flattest" the last
-        SmoothedResult of each kind (smoothing._extremal); "gap" the last
-        worst prefix gap against a weakly referenced q (order._max_gap).
+        SmoothedResult of each kind (smoothing._extremal); "gap" the worst
+        prefix gap against its last, weakly held, partner (order._max_gap).
         Not a field, so not compared, pickled or copied.
         """
         return {}

@@ -13,42 +13,45 @@ from .distribution import ArrayLike, Distribution
 from .errors import DimensionMismatchError, NotMajorizedError
 
 
-def _prefix_gap(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _prefix_gap(p: Distribution, q: Distribution) -> np.ndarray:
     """Running deficit of p against q: entry l-1 is sum(q[:l]) - sum(p[:l]).
 
     The one prefix-sum kernel behind every order predicate and the
     distance; p majorizes q at tolerance tau exactly when no entry
     exceeds tau.
     """
-    if p.size != q.size:
-        raise DimensionMismatchError(f"k mismatch: {p.size} vs {q.size}")
-    gap = q - p
+    if p.k != q.k:
+        raise DimensionMismatchError(f"k mismatch: {p.k} vs {q.k}")
+    gap = q.values - p.values
     return np.cumsum(gap, out=gap)
 
 
 def _max_gap(p: Distribution, q: Distribution) -> float:
-    """The largest entry of _prefix_gap(p.values, q.values), kept by p.
+    """The largest entry of _prefix_gap(p, q), kept by both objects.
 
-    p keeps the last one beside a weak reference to q, so a repeat call
-    on the same q object reads it back with no prefix sum, and p never
-    keeps q alive; once q is dropped its reference reads None and matches
-    no later q.
+    One prefix sum serves both directions: q's gap against p is its exact
+    negation (only the signs of zeros differ), so p keeps max(gap) beside
+    a weak reference to q and q keeps -min(gap) beside one to p. q is
+    stored first so that p against itself keeps the max; a dropped
+    object's reference reads None and matches no later one.
     """
     kept = p._memo.get("gap")
     if kept is not None and kept[0]() is q:
         return kept[1]
-    gap = float(_prefix_gap(p.values, q.values).max())
-    p._memo["gap"] = (weakref.ref(q), gap)
-    return gap
+    gap = _prefix_gap(p, q)
+    q._memo["gap"] = (weakref.ref(p), -float(gap.min()))
+    worst = float(gap.max())
+    p._memo["gap"] = (weakref.ref(q), worst)
+    return worst
 
 
 def majorizes(p: Distribution, q: Distribution, *, tau: float = DEFAULT_TAU) -> bool:
     """True when every prefix sum of p dominates the same prefix of q.
 
-    Both arguments are already canonical, so this reads the worst prefix
-    gap of p against q, which p keeps for its last q (a later
-    majorization_distance(p, q) or majorizes at another tau reuses it);
-    the final prefixes agree by normalization.
+    The one place a pair is decided; first_failing_prefix and
+    transfer_plan read it. It reads the worst prefix gap the pair keeps,
+    so a later call in either order, at any tau, or the distance takes no
+    prefix sum. The final prefixes agree by normalization.
     """
     return _max_gap(p, q) <= tau
 
@@ -58,12 +61,12 @@ def first_failing_prefix(
 ) -> int | None:
     """Smallest prefix length (1-based) where dominance of p over q fails.
 
-    Returns None when p majorizes q at tolerance tau.
+    None exactly when majorizes(p, q, tau=tau) holds; only a failing pair
+    builds its gap array.
     """
-    bad = _prefix_gap(p.values, q.values) > tau
-    if not bad.any():
+    if majorizes(p, q, tau=tau):
         return None
-    return int(np.argmax(bad)) + 1
+    return int(np.argmax(_prefix_gap(p, q) > tau)) + 1
 
 
 def majorization_distance(p: Distribution, q: Distribution) -> float:
@@ -72,7 +75,7 @@ def majorization_distance(p: Distribution, q: Distribution) -> float:
     Equals twice the worst prefix-sum deficit of p against q, clamped at
     zero; it is also the least delta such that p majorizes some
     delta-perturbation of q, and it never exceeds 2. The deficit is the
-    one majorizes(p, q) reads, kept by p for its last q.
+    one majorizes(p, q) reads; max(0.0, -0.0) keeps a zero positive.
     """
     return max(0.0, 2.0 * _max_gap(p, q))
 
@@ -109,11 +112,6 @@ class TTransform:
             raise ValueError("transfer endpoints must differ")
         if not (0.0 <= self.t <= 1.0):
             raise ValueError(f"t must lie in [0, 1], got {self.t}")
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        out = values.copy()
-        _mix(out, self.i, self.j, self.t)
-        return out
 
 
 @dataclass(frozen=True)
@@ -168,14 +166,13 @@ def transfer_plan(
 
     A step changes only its two coordinates, in place, and pins one of
     them, so the surplus and deficit cursors only move forward: one pass
-    after the majorizes gate. A deficit ahead of the first surplus whose
-    prefix gap is within tau is float noise that majorizes accepted, so it
-    is passed over; the final 1e-9 reach check bounds what it leaves.
+    after the majorizes gate. The gate bounds every prefix gap by tau, so
+    every deficit ahead of the first surplus is float noise and is passed
+    over; the final 1e-9 reach check bounds what it leaves.
 
     Raises NotMajorizedError unless p majorizes q at tolerance tau.
     """
-    prefix_gap = _prefix_gap(p.values, q.values)
-    if not prefix_gap.max() <= tau:  # as in majorizes, NaN fails too
+    if not majorizes(p, q, tau=tau):
         raise NotMajorizedError("p does not majorize q")
 
     k = p.k
@@ -186,19 +183,14 @@ def transfer_plan(
     steps: list[TTransform] = []
     # residual differences below this are float noise, not real mass
     eps = 1e-12
-    # a deficit ahead of the first surplus is float noise when its prefix
-    # gap is within tau, the slack majorizes granted
-    noise = (prefix_gap <= tau).tolist()
     i = j = 0
 
     for _ in range(k - 1):
         while i < k and current[i] - target[i] <= eps:
             i += 1
-        while j < k and (current[j] - target[j] >= -eps or (j < i and noise[j])):
+        # every deficit ahead of the first surplus is within tau: skip it
+        while j < k and (current[j] - target[j] >= -eps or j < i):
             j += 1
-        if j < i:
-            # dominance puts every real deficit after the first surplus
-            raise NotMajorizedError("deficit precedes surplus; p !>= q")
         if j == k:
             break
         give = current[i] - target[i]

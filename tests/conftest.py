@@ -1,4 +1,7 @@
+import collections
+
 import numpy as np
+import pytest
 
 import majorize as mj
 
@@ -19,3 +22,17 @@ def ball_bases(k: int) -> dict[str, mj.Distribution]:
         raw = np.resize([3.0, 3.0, 1.0, 0.0], k)
         bases["tied"] = mj.make_distribution(raw, "renormalize")
     return bases
+
+
+@pytest.fixture
+def cumsum_calls(monkeypatch) -> collections.Counter:
+    """Count np.cumsum calls by input size for the rest of the test."""
+    calls = collections.Counter()
+    cumsum = np.cumsum
+
+    def counted(a, *args, **kwargs):
+        calls[np.size(a)] += 1
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    return calls

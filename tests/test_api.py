@@ -1,6 +1,7 @@
 """The public surface: what `majorize` exports and what the benchmark harness wraps."""
 
 import copy
+import dataclasses
 import inspect
 import pickle
 from pathlib import Path
@@ -120,6 +121,31 @@ def test_public_signatures_are_pinned():
     assert callables == set(SIGNATURES)
     got = {name: _bare_signature(getattr(mj, name)) for name in callables}
     assert got == SIGNATURES
+
+
+# public methods and properties of every exported class (their fields are
+# pinned by SIGNATURES), so adding or removing one is deliberate
+MEMBERS = {
+    "Config": (),
+    "Distribution": ("k", "to_original_order"),
+    "FlattestMeta": (),
+    "LorenzCurve": ("k", "points"),
+    "SchurFunction": (),
+    "SmoothedResult": ("clamped",),
+    "SteepestMeta": (),
+    "TTransform": (),
+    "TransferPlan": ("apply", "matrix"),
+}
+
+
+def test_public_class_members_are_pinned():
+    got = {}
+    for name in mj.__all__:
+        cls = getattr(mj, name)
+        if isinstance(cls, type) and not issubclass(cls, Exception):
+            fields = {f.name for f in dataclasses.fields(cls)}
+            got[name] = tuple(sorted(m for m in vars(cls) if m[0] != "_" and m not in fields))
+    assert got == MEMBERS
 
 
 def test_pickle_keeps_the_fields_and_drops_the_extremal_points():

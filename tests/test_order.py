@@ -1,11 +1,14 @@
 import gc
 import hashlib
+import json
+import math
 import weakref
 
 import numpy as np
 import pytest
 
 import majorize as mj
+from majorize import cli
 from majorize.errors import DimensionMismatchError, NotMajorizedError
 
 from conftest import random_distribution
@@ -87,8 +90,9 @@ class TestMajorizes:
 
 class TestPrefixGapPredicates:
     def test_agree_with_majorizes_on_distributions(self):
-        # every predicate on the shared prefix gap agrees with majorizes,
-        # on random pairs, equal pairs and pairs with tied entries
+        # every predicate on the shared prefix gap agrees with majorizes, at
+        # any tau (a NaN tau accepts nothing and fails at prefix 1), on
+        # random pairs, equal pairs and pairs with tied entries
         rng = np.random.default_rng(11)
         pairs = [
             (random_distribution(rng, k=4), random_distribution(rng, k=4))
@@ -103,8 +107,12 @@ class TestPrefixGapPredicates:
             pairs += [(p, p), (t, t), (t, tied()), (t, p), (p, t)]
         for p, q in pairs:
             expected = mj.majorizes(p, q)
-            assert (mj.first_failing_prefix(p, q) is None) == expected
             assert (mj.majorization_distance(p, q) <= 2 * 1e-9) == expected
+            for tau in (0.0, 1e-9, 1.0, math.nan):
+                for a, b in ((p, q), (q, p)):
+                    failing = mj.first_failing_prefix(a, b, tau=tau)
+                    assert (failing is None) == mj.majorizes(a, b, tau=tau)
+        assert mj.first_failing_prefix(p, p, tau=math.nan) == 1
 
 
 class TestFirstFailingPrefix:
@@ -237,12 +245,65 @@ class TestPairMemo:
         finally:
             gc.enable()
 
+    def test_q_does_not_keep_p_alive(self):
+        p = mj.make_distribution([0.6, 0.4])
+        q = mj.make_distribution([0.5, 0.5])
+        ref = weakref.ref(p)
+        gc.disable()
+        try:
+            assert mj.majorizes(p, q)
+            assert not mj.majorizes(q, p)
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_one_prefix_sum_answers_both_directions(self, cumsum_calls):
+        rng = np.random.default_rng(19)
+        p, q = mj.sample_majorized_pair(40, rng)
+        r = random_distribution(rng, k=40)
+        for a, b in ((p, q), (r, q), (q, r)):
+            ordered = mj.majorizes(a, b)
+            cumsum_calls.clear()
+            # the reverse direction first, then both distances
+            got = _pair_record(b, a, 0.0)
+            failing = mj.first_failing_prefix(a, b) if ordered else None
+            assert cumsum_calls == {}
+            assert failing is None and got == _pair_record(_fresh(b), _fresh(a), 0.0)
+
+    def test_distance_is_a_positive_zero(self):
+        p = mj.make_distribution([0.5, 0.25, 0.25])
+        q = mj.make_distribution([0.5, 0.5, 0.0])
+        equal = mj.make_distribution([0.5, 0.25, 0.25])
+        # the gap of p against q has positive zeros, so q keeps a negated
+        # zero as its worst gap against p
+        assert math.copysign(1.0, -float(np.cumsum(q.values - p.values).min())) == -1.0
+        for a, b in ((p, p), (p, equal), (equal, p), (q, p)):
+            mj.majorizes(b, a)  # a's distance reads the gap this keeps
+            d = mj.majorization_distance(a, b)
+            assert d == 0.0 and math.copysign(1.0, d) == 1.0
+
+    def test_check_takes_one_prefix_sum_per_pair(self, cumsum_calls, tmp_path, capsys):
+        # the pair's sum answers majorizes both ways and both distances;
+        # the other is first_failing_prefix(q, p) finding its place
+        p, q = mj.sample_majorized_pair(1000, 29)
+        assert mj.majorizes(p, q) and not mj.majorizes(q, p)
+        paths = []
+        for name, d in (("p", p), ("q", q)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"values": d.values.tolist()}))
+            paths.append(str(path))
+        cumsum_calls.clear()
+        assert cli.main(["check", *paths]) == 0
+        assert "first failing prefix q->p" in capsys.readouterr().out
+        assert cumsum_calls == {1000: 2}
+
 
 class TestTTransform:
     def test_apply_moves_mass_between_two_coordinates(self):
         x = np.array([0.7, 0.2, 0.1])
         step = mj.TTransform(0, 2, 0.5)
-        out = step.apply(x)
+        out = mj.TransferPlan((step,), 3).apply(x)
         assert out == pytest.approx([0.4, 0.2, 0.4], abs=1e-15)
         assert x[0] == 0.7  # input untouched
 
@@ -256,7 +317,8 @@ class TestTTransform:
         for i, j in ((0, 1.5), (0.0, 1), ("0", 1)):
             with pytest.raises(ValueError):
                 mj.TTransform(i, j, 0.2)
-        assert mj.TTransform(np.int64(0), 1, 0.2).apply(np.array([1.0, 0.0]))[1] == 0.2
+        step = mj.TTransform(np.int64(0), 1, 0.2)
+        assert mj.TransferPlan((step,), 2).apply(np.array([1.0, 0.0]))[1] == 0.2
 
 
 class TestTransferPlan:
@@ -319,6 +381,35 @@ class TestTransferPlan:
         plan = mj.transfer_plan(p, q)
         assert len(plan.steps) <= p.k - 1
         assert np.abs(plan.matrix @ p.values - q.values).max() <= 1e-9
+
+    def test_majorizes_and_transfer_plan_agree(self):
+        # anything majorizes accepts within tau gets a plan, and anything it
+        # rejects raises: zero-sum noise of 1e-10 to 3e-9 around a base, and
+        # deficits just under tau ahead of the first surplus
+        rng = np.random.default_rng(31)
+        accepted = rejected = 0
+        for k, n in ((3, 1000), (8, 1000), (50, 300), (1000, 30)):
+            for _ in range(n):
+                p = random_distribution(rng, k=k)
+                noise = rng.standard_normal(k)
+                noise *= rng.uniform(1e-10, 3e-9) / np.abs(noise).max()
+                near = np.zeros(k)
+                a, b = sorted(rng.choice(k, 2, replace=False))
+                near[a], near[b] = 1.0, -1.0
+                near *= rng.uniform(0.5, 1.0) * mj.DEFAULT_TAU
+                for step in (noise - noise.mean(), near):
+                    q = mj.make_distribution(np.clip(p.values + step, 0.0, None), "renormalize")
+                    for x, y in ((p, q), (q, p)):
+                        if mj.majorizes(x, y):
+                            accepted += 1
+                            plan = mj.transfer_plan(x, y)
+                            assert len(plan.steps) <= k - 1
+                            assert np.abs(plan.apply(x.values) - y.values).max() <= 1e-9
+                        else:
+                            rejected += 1
+                            with pytest.raises(NotMajorizedError):
+                                mj.transfer_plan(x, y)
+        assert accepted > 5000 and rejected > 1000
 
     def test_large_k_plan(self):
         p, q = mj.sample_majorized_pair(1000, 3)

@@ -612,17 +612,9 @@ class TestExtremalPointMemo:
                 want[1:] = np.minimum(np.cumsum(p.values) + delta / 2.0, 1.0)
                 assert mj.lorenz_steepest(p, delta).cumulative.tobytes() == want.tobytes()
 
-    def test_large_k_op_takes_each_prefix_sum_once(self, monkeypatch):
+    def test_large_k_op_takes_each_prefix_sum_once(self, cumsum_calls):
         # p's curve, the lower level, the pair's gap and the flattest point's curve;
         # a repeat op on the same objects takes none
-        calls = collections.Counter()
-        cumsum = np.cumsum
-
-        def counted(a, *args, **kwargs):
-            calls[a.size] += 1
-            return cumsum(a, *args, **kwargs)
-
-        monkeypatch.setattr(np, "cumsum", counted)
         rng = np.random.default_rng(6)
         p, q = (mj.make_distribution(rng.standard_exponential(1000), "renormalize") for _ in "pq")
         g = mj.default_functions()[0]
@@ -631,7 +623,7 @@ class TestExtremalPointMemo:
             mj.lorenz_steepest(p, 0.3), mj.lorenz_flattest(p, 0.3)
             mj.majorizes(p, q), mj.majorization_distance(p, q)
             mj.smooth_max(g, p, 0.3), mj.smooth_min(g, p, 0.3)
-            assert calls == {1000: 4}
+            assert cumsum_calls == {1000: 4}
 
     def test_large_k_op_builds_each_point_once(self, builds):
         rng = np.random.default_rng(5)
