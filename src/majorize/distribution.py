@@ -26,18 +26,11 @@ from .errors import (
 )
 
 ArrayLike = Union[Sequence[float], np.ndarray]
-SeedLike = Union[int, np.random.Generator]
 _T = TypeVar("_T")
 
 # Sum slack of the public validators, which guard only objects a caller
 # constructs directly; objects the library builds are wrapped by _trusted.
 _STRUCT_TOL = DEFAULT_TAU_NORM
-
-
-def _as_generator(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _dirichlet(rng: np.random.Generator, shape: int | tuple[int, int]) -> np.ndarray:
@@ -172,10 +165,6 @@ class Distribution:
         out[self.perm] = self.values
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        body = ", ".join(f"{v:.6g}" for v in self.values)
-        return f"Distribution([{body}])"
-
 
 def _trusted(cls: type[_T], **arrays: np.ndarray) -> _T:
     """Freeze library-built arrays and set them as cls's fields, unchecked.
@@ -186,7 +175,8 @@ def _trusted(cls: type[_T], **arrays: np.ndarray) -> _T:
     make_distribution its checked input in _canonical_order, divided by
     its finite sum; uniform and point_mass closed forms; the samplers
     clamped convex combinations of distributions, sorted by
-    _canonical_order or a stable argsort; steepest and flattest sorted,
+    _canonical_order or a stable argsort (sample_delta_ball composes
+    that sort with p's perm); steepest and flattest sorted,
     mass-keeping edits of p with p's perm; lorenz the prefix sums from 0
     of a canonical vector, and lorenz_steepest a copy of them shifted by
     delta/2 and capped at 1. Kept objects are shared by every later
@@ -346,16 +336,19 @@ def lorenz(p: Distribution) -> LorenzCurve:
     return curve
 
 
-def sample_delta_ball(p: Distribution, delta: float, seed: SeedLike) -> Distribution:
+def sample_delta_ball(
+    p: Distribution, delta: float, seed: int | np.random.Generator
+) -> Distribution:
     """Draw a distribution within l1 distance `delta` of p.
 
     The sample is ``p + t * (u - p)`` for a random distribution u, with the
     step size t chosen so the l1 move is at most delta; sorting to canonical
-    form can only shrink the distance further. Deterministic for a fixed
-    integer seed; passing a Generator advances it in place.
+    form can only shrink the distance further. The perm maps back to the
+    caller's order of p. `seed` is anything np.random.default_rng accepts:
+    a fixed integer gives a fixed draw, and a Generator is advanced in place.
     """
     delta = check_delta(delta)
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     step = _dirichlet(rng, p.k) - p.values
     width = float(np.abs(step).sum())
     t = 1.0 if width <= delta else (delta / width) * (1.0 - 1e-12)
@@ -375,7 +368,8 @@ def sample_delta_ball(p: Distribution, delta: float, seed: SeedLike) -> Distribu
     # timsort takes about 4 us at k = 8 against about 10 us for the packed
     # sort (_ball_rows keeps no perm, so its value sort needs no stability)
     order = (-vals).argsort(kind="stable")
-    return _trusted(Distribution, values=vals[order], perm=order)
+    # vals is in p's canonical coordinates; p.perm maps them to the caller's
+    return _trusted(Distribution, values=vals[order], perm=p.perm[order])
 
 
 def _ball_rows(p: Distribution, delta: float, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -413,7 +407,9 @@ def _ball_rows(p: Distribution, delta: float, rng: np.random.Generator, n: int) 
     return vals
 
 
-def sample_majorized_pair(k: int, seed: SeedLike) -> tuple[Distribution, Distribution]:
+def sample_majorized_pair(
+    k: int, seed: int | np.random.Generator
+) -> tuple[Distribution, Distribution]:
     """Draw (p, q) with q a doubly-stochastic image of p, so p majorizes q.
 
     q is a probabilistic mixture of random permutations of p (the identity
@@ -422,7 +418,7 @@ def sample_majorized_pair(k: int, seed: SeedLike) -> tuple[Distribution, Distrib
     """
     if k < 1:
         raise ZeroDimensionError("k must be >= 1")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     order, values = _canonical_order(_dirichlet(rng, k))
     p = _trusted(Distribution, values=values, perm=order)
 

@@ -16,13 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .config import check_base
-from .distribution import (
-    Distribution,
-    SeedLike,
-    _as_generator,
-    _ball_rows,
-    check_delta,
-)
+from .distribution import Distribution, _ball_rows, check_delta
 from .errors import AlphaOutOfRangeError, NegativeAlphaError, UnknownFunctionError
 from .smoothing import _extremal
 
@@ -158,7 +152,7 @@ def brute_force_extremum(
     p: Distribution,
     delta: float,
     n: int,
-    seed: SeedLike,
+    seed: int | np.random.Generator,
     mode: str,
 ) -> float:
     """Extremum of f over n ball samples plus both extremal perturbations.
@@ -182,7 +176,7 @@ def brute_force_extremum(
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     pick = max if mode == "max" else min
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     best = []
     for start in range(0, n, _ORACLE_BLOCK):
         scores = f.fn(_ball_rows(p, delta, rng, min(_ORACLE_BLOCK, n - start)))

@@ -3,7 +3,10 @@
 import copy
 import dataclasses
 import inspect
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 import majorize as mj
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 REMOVED = (
     "solve_upper_level",
@@ -42,6 +46,23 @@ def test_benchmark_harness_builds(monkeypatch):
     for lib in (plain, traced):
         assert set(vars(lib)) == set(workloads.SPANS)
         assert all(callable(fn) for fn in vars(lib).values())
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # only the samplers and the oracle draw; numpy 1.x imports numpy.random
+    # itself, so the check is against numpy's own state
+    code = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import majorize.cli\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 # the exported names, pinned so a change to the public surface is deliberate

@@ -241,10 +241,14 @@ class TestLorenz:
 
 class TestSampleDeltaBall:
     def test_zero_radius_returns_p(self):
-        p = mj.make_distribution([0.6, 0.3, 0.1])
-        for seed in range(5):
+        # inputs without -0.0, which the sampler writes as +0.0
+        rng = np.random.default_rng(5)
+        bases = [mj.make_distribution([0.6, 0.3, 0.1]), mj.make_distribution([0.1, 0.6, 0.3])]
+        bases += [*ball_bases(8).values(), *(random_distribution(rng) for _ in range(50))]
+        for seed, p in enumerate(bases):
             out = mj.sample_delta_ball(p, 0.0, seed)
             assert np.array_equal(out.values, p.values)
+            assert np.array_equal(out.to_original_order(), p.to_original_order())
 
     def test_full_radius_from_point_mass(self):
         p = mj.point_mass(2)
@@ -260,12 +264,23 @@ class TestSampleDeltaBall:
             delta = float(rng.uniform(0, 2))
             out = mj.sample_delta_ball(p, delta, rng)
             assert mj.l1_distance(p, out) <= delta
+            # in the caller's order: the same terms, summed in another order
+            moved = float(np.abs(out.to_original_order() - p.to_original_order()).sum())
+            assert moved <= delta * (1.0 + 2 * p.k * np.finfo(float).eps)
 
     def test_deterministic_for_fixed_seed(self):
-        p = mj.make_distribution([0.6, 0.3, 0.1])
-        a = mj.sample_delta_ball(p, 0.7, 123)
-        b = mj.sample_delta_ball(p, 0.7, 123)
-        assert np.array_equal(a.values, b.values)
+        # an np.int64 builds the int's generator; a Generator is used as is
+        # and advanced in place
+        p = random_distribution(np.random.default_rng(0), k=16)
+        for seed in (123, 2**40):
+            want = mj.sample_delta_ball(p, 0.7, seed)
+            rng = np.random.default_rng(seed)
+            for form in (seed, np.int64(seed), rng):
+                got = mj.sample_delta_ball(p, 0.7, form)
+                assert got.values.tobytes() == want.values.tobytes()
+                assert np.array_equal(got.perm, want.perm)
+            again = mj.sample_delta_ball(p, 0.7, rng)
+            assert not np.array_equal(again.values, want.values)
 
     def test_bad_delta(self):
         p = mj.uniform(2)
@@ -386,6 +401,24 @@ class TestSampleMajorizedPair:
     def test_zero_dimension(self):
         with pytest.raises(ZeroDimensionError):
             mj.sample_majorized_pair(0, 1)
+
+    def test_seed_forms_draw_alike(self):
+        # as in TestSampleDeltaBall.test_deterministic_for_fixed_seed
+        for seed in (3, 2**40):
+            want = mj.sample_majorized_pair(8, seed)
+            rng = np.random.default_rng(seed)
+            for form in (np.int64(seed), rng):
+                got = mj.sample_majorized_pair(8, form)
+                for a, b in zip(got, want):
+                    assert a.values.tobytes() == b.values.tobytes()
+                    assert np.array_equal(a.perm, b.perm)
+            again = mj.sample_majorized_pair(8, rng)
+            assert not np.array_equal(again[0].values, want[0].values)
+
+
+def test_repr_is_summarized_at_large_k():
+    d = random_distribution(np.random.default_rng(0), k=10**5)
+    assert len(repr(d)) < 2000
 
 
 def test_distribution_constructor_rejects_unsorted():

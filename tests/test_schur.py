@@ -286,11 +286,20 @@ class TestBruteForceOracle:
                 )
 
     def test_numpy_integer_seed_matches_int_seed(self):
+        # an np.int64 builds the int's generator; a Generator is used as is
+        # and advanced in place by the same draws
         f = mj.shannon()
         for seed in (3, 2**40):
             want = mj.brute_force_extremum(f, P, 0.4, n=100, seed=seed, mode="min")
             got = mj.brute_force_extremum(f, P, 0.4, n=100, seed=np.int64(seed), mode="min")
             assert got == want
+            rng = np.random.default_rng(seed)
+            got = mj.brute_force_extremum(f, P, 0.4, n=100, seed=rng, mode="min")
+            assert got == want
+            ref = np.random.default_rng(seed)
+            _ball_rows(P, 0.4, ref, 64)
+            _ball_rows(P, 0.4, ref, 36)
+            assert rng.random() == ref.random()
 
     def test_misdeclared_direction_shows_against_the_closed_form(self):
         # Shannon declared convex: smooth_max evaluates the steepest point,
