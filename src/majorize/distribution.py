@@ -32,15 +32,24 @@ _T = TypeVar("_T")
 # constructs directly; objects the library builds are wrapped by _trusted.
 _STRUCT_TOL = DEFAULT_TAU_NORM
 
+# Entries per block of sampled rows: the pair sampler's permutations and
+# the oracle's ball rows are drawn this many at a time, at most.
+_BLOCK_ENTRIES = 1 << 14
+
 
 def _dirichlet(rng: np.random.Generator, shape: int | tuple[int, int]) -> np.ndarray:
     """rng.dirichlet(np.ones(k), size=n) bit for bit, in the same generator state.
 
     All-ones alpha makes numpy's gammas standard exponentials, which it scales
-    by one over their sequential sum (Devroye 1986, ch. XI).
+    by one over their sequential sum (Devroye 1986, ch. XI). A block of rows
+    sums down the columns of its transposed copy, which is sequential and
+    runs across rows at once; numpy sums a single column pairwise, so one
+    row keeps the running sum.
     """
     e = rng.standard_exponential(shape)
-    return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
+    if e.ndim == 1 or e.shape[0] == 1:
+        return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
+    return e * (1.0 / np.add.reduce(e.T.copy(), axis=0))[:, None]
 
 
 def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +175,13 @@ class Distribution:
         return out
 
 
-def _trusted(cls: type[_T], **arrays: np.ndarray) -> _T:
-    """Freeze library-built arrays and set them as cls's fields, unchecked.
+def _trusted(cls: type[_T], **fields: object) -> _T:
+    """Set library-built values as cls's fields, unchecked; freeze the arrays.
 
     Values from a caller are checked (Distribution, LorenzCurve,
-    make_distribution); values the library builds are canonical by
-    construction. Callers pass contiguous float64 values and intp perms:
+    make_distribution, TTransform, TransferPlan); values the library
+    builds are valid by construction. Callers pass contiguous float64
+    values and intp perms:
     make_distribution its checked input in _canonical_order, divided by
     its finite sum; uniform and point_mass closed forms; the samplers
     clamped convex combinations of distributions, sorted by
@@ -179,13 +189,16 @@ def _trusted(cls: type[_T], **arrays: np.ndarray) -> _T:
     that sort with p's perm); steepest and flattest sorted,
     mass-keeping edits of p with p's perm; lorenz the prefix sums from 0
     of a canonical vector, and lorenz_steepest a copy of them shifted by
-    delta/2 and capped at 1. Kept objects are shared by every later
-    caller, so the write lock is what keeps them valid.
+    delta/2 and capped at 1. transfer_plan passes Python int endpoints
+    i < j < k, a t it has range-checked, and a tuple of such steps. Kept
+    objects are shared by every later caller, so the write lock is what
+    keeps them valid.
     """
     obj = object.__new__(cls)
-    for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+    obj.__dict__.update(fields)  # plain fields: as object.__setattr__ would store them
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return obj
 
 
@@ -391,18 +404,21 @@ def _ball_rows(p: Distribution, delta: float, rng: np.random.Generator, n: int) 
     # per-row retighten, as in sample_delta_ball; rows still over budget
     # after four rescales fall back to p
     over = np.arange(n)
+    moved = np.abs(vals - base).sum(axis=1)
     for _ in range(4):
-        moved = np.abs(vals[over] - base).sum(axis=1)
         keep = moved > delta
         over, moved = over[keep], moved[keep]
         if over.size == 0:
             break
         t[over] *= (delta / moved) * (1.0 - 1e-12)
         vals[over] = base + t[over, None] * step[over]
+        moved = np.abs(vals[over] - base).sum(axis=1)
     else:
         vals[over] = base
     vals[vals <= 0.0] = 0.0
-    vals = -np.sort(-vals, axis=1)
+    # every zero is +0.0, so ascending order reversed is the descending one
+    vals.sort(axis=1)
+    vals = vals[:, ::-1].copy()
     vals.setflags(write=False)
     return vals
 
@@ -415,6 +431,12 @@ def sample_majorized_pair(
     q is a probabilistic mixture of random permutations of p (the identity
     is always one component), which is exactly the Hardy-Littlewood-Polya
     characterization of the pairs below p in the majorization order.
+
+    The k permutations are drawn in blocks of at most _BLOCK_ENTRIES
+    entries, each one rng.permuted call along its rows, which is the
+    stream of as many rng.permutation(k) calls. Row 0 of a block holds
+    the running sum, and one reduce down each column adds the weighted
+    rows below it left to right, as one sum per permutation would.
     """
     if k < 1:
         raise ZeroDimensionError("k must be >= 1")
@@ -423,8 +445,19 @@ def sample_majorized_pair(
     p = _trusted(Distribution, values=values, perm=order)
 
     weights = _dirichlet(rng, k + 1)
-    q_raw = weights[0] * p.values
-    for w in weights[1:]:
-        q_raw = q_raw + w * p.values[rng.permutation(k)]
-    order, values = _canonical_order(q_raw)
+    rows = min(k, max(1, _BLOCK_ENTRIES // k))
+    block = np.empty((rows + 1, k))
+    ids = np.arange(k)
+    perms = np.empty((rows, k), dtype=ids.dtype)
+    np.multiply(weights[0], values, out=block[0])
+    for start in range(1, k + 1, rows):
+        m = min(rows, k + 1 - start)
+        # shuffled in place: permuted's own copy of a broadcast row is
+        # column-major, and each row's shuffle then strides across the block
+        perm = perms[:m]
+        perm[...] = ids
+        rng.permuted(perm, axis=1, out=perm)
+        np.multiply(values[perm], weights[start : start + m, None], out=block[1 : m + 1])
+        block[0] = np.add.reduce(block[: m + 1], axis=0)
+    order, values = _canonical_order(block[0])
     return p, _trusted(Distribution, values=values, perm=order)

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TAU
-from .distribution import ArrayLike, Distribution
+from .distribution import ArrayLike, Distribution, _trusted
 from .errors import DimensionMismatchError, NotMajorizedError
 
 
@@ -199,7 +199,9 @@ def transfer_plan(
         gap = current[i] - current[j]
         # gap >= amount > 0: prefix dominance keeps donor above recipient
         t = min(amount / gap, 0.5)
-        steps.append(TTransform(i, j, t))
+        if not t >= 0.0:  # TTransform's range check; i < j < k by the cursors
+            raise ValueError(f"t must lie in [0, 1], got {t}")
+        steps.append(_trusted(TTransform, i=i, j=j, t=t))
         _mix(current, i, j, t)
         # pin the finished coordinate to kill accumulated rounding
         if give <= need:
@@ -209,4 +211,4 @@ def transfer_plan(
 
     if float(np.abs(np.array(current) - q.values).max()) > 1e-9:
         raise NotMajorizedError("transfer plan failed to reach the target")
-    return TransferPlan(tuple(steps), k)
+    return _trusted(TransferPlan, steps=tuple(steps), k=k)

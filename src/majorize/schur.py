@@ -16,15 +16,15 @@ from typing import Callable
 import numpy as np
 
 from .config import check_base
-from .distribution import Distribution, _ball_rows, check_delta
+from .distribution import _BLOCK_ENTRIES, Distribution, _ball_rows, check_delta
 from .errors import AlphaOutOfRangeError, NegativeAlphaError, UnknownFunctionError
 from .smoothing import _extremal
 
 SCHUR_CONVEX = "schur_convex"
 SCHUR_CONCAVE = "schur_concave"
 
-# Oracle samples per vectorized block; larger blocks gain little speed and
-# raise peak memory.
+# Oracle samples per vectorized block, fewer where k * 64 would pass
+# _BLOCK_ENTRIES; larger blocks gain little speed and raise peak memory.
 _ORACLE_BLOCK = 64
 
 
@@ -165,10 +165,12 @@ def brute_force_extremum(
     the extremal point's, can win, so the two agree to float precision,
     not always bit for bit.
 
-    The samples are drawn and scored in blocks of at most 64 rows: each
-    block is one (n, k) array of canonical values, bit-identical to as
-    many sample_delta_ball calls on the same generator, reduced by one
-    f.fn call, so fixed-seed results are those of per-call sampling.
+    The samples are drawn and scored in blocks of at most 64 rows and,
+    above k = 256, at most 2**14 entries (one row at least): each block
+    is one (n, k) array of canonical values, bit-identical to as many
+    sample_delta_ball calls on the same generator, reduced by one f.fn
+    call, so fixed-seed results are those of per-call sampling at any
+    block size.
     """
     delta = check_delta(delta)
     if n < 1:
@@ -178,8 +180,9 @@ def brute_force_extremum(
     pick = max if mode == "max" else min
     rng = np.random.default_rng(seed)
     best = []
-    for start in range(0, n, _ORACLE_BLOCK):
-        scores = f.fn(_ball_rows(p, delta, rng, min(_ORACLE_BLOCK, n - start)))
+    rows = max(1, min(_ORACLE_BLOCK, _BLOCK_ENTRIES // p.k))
+    for start in range(0, n, rows):
+        scores = f.fn(_ball_rows(p, delta, rng, min(rows, n - start)))
         best.append(pick(scores.tolist()))
     for kind in ("steepest", "flattest"):
         best.append(f(_extremal(p, delta, kind).result))

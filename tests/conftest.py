@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,3 +37,17 @@ def cumsum_calls(monkeypatch) -> collections.Counter:
 
     monkeypatch.setattr(np, "cumsum", counted)
     return calls
+
+
+@pytest.fixture
+def peak_traced_mb():
+    """Trace allocations for the test body; call the result for the peak in MB.
+
+    numpy reports its array buffers to tracemalloc, so the peak covers
+    them as well as Python objects, from the start of the test.
+    """
+    tracemalloc.start()
+    try:
+        yield lambda: tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

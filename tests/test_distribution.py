@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -318,8 +320,9 @@ class TestDirichlet:
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 64, 129, 1000])
     def test_matches_numpy_dirichlet_with_ones(self, k):
         # the helper leans on how numpy draws all-ones Dirichlet vectors; a
-        # numpy release that changes that must fail here, not shift samples
-        for n in (None, 5):
+        # numpy release that changes that must fail here, not shift samples.
+        # None and 1 take the running sum, 2 rows up the column sums
+        for n in (None, 1, 2, 5, 64):
             ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
             got = _dirichlet(ours, k if n is None else (n, k))
             want = theirs.dirichlet(np.ones(k), size=n)
@@ -384,7 +387,33 @@ class TestLibraryBuiltObjectsAreCanonical:
                     mj.Distribution(row.copy(), np.arange(k))
 
 
+# sample_majorized_pair at k, recorded from the one-permutation-per-call
+# loop that the block draws must reproduce: first 16 hex digits of the
+# sha256 of p.values, q.values and p.perm (as int64) of a call with seed k
+# and two calls on default_rng(k), then of rng.random().hex() after them
+FROZEN_PAIRS = [
+    (1, "de10aa1ee22a3dab"),
+    (2, "174f8e3933011d74"),
+    (3, "1da6265ca4cbe3b0"),
+    (8, "d86371d64f9cc3f5"),
+    (129, "dabdc1f5eede42e6"),
+    (300, "2aa0481719b980ac"),
+    (1000, "3607af0972ddfdd7"),
+]
+
+
 class TestSampleMajorizedPair:
+    def test_streams_are_frozen(self):
+        for k, want in FROZEN_PAIRS:
+            digest = hashlib.sha256()
+            rng = np.random.default_rng(k)
+            for seed in (k, rng, rng):
+                p, q = mj.sample_majorized_pair(k, seed)
+                for arr in (p.values, q.values, p.perm.astype(np.int64)):
+                    digest.update(arr.tobytes())
+            digest.update(rng.random().hex().encode())
+            assert digest.hexdigest()[:16] == want, k
+
     def test_pairs_always_ordered(self):
         for seed in range(1000):
             p, q = mj.sample_majorized_pair(3, seed)

@@ -1,14 +1,18 @@
+import builtins
+import copy
 import gc
 import hashlib
 import json
 import math
+import pickle
 import weakref
 
 import numpy as np
 import pytest
 
 import majorize as mj
-from majorize import cli
+from majorize import cli, order
+from majorize.io import transfer_plan_to_json
 from majorize.errors import DimensionMismatchError, NotMajorizedError
 
 from conftest import random_distribution
@@ -473,3 +477,33 @@ class TestTransferPlan:
         plan = mj.transfer_plan(p, q)
         assert len(plan.steps) <= k - 1
         assert np.abs(plan.apply(p.values) - q.values).max() <= 1e-9
+
+
+class TestTrustedPlans:
+    # transfer_plan builds its steps and plan without the validators, so
+    # each must be what the validators would have built
+    def test_steps_and_plans_rebuild_through_the_validators(self):
+        for k in (1, 2, 3, 8, 50, 128, 1000):
+            p, q = mj.sample_majorized_pair(k, k)
+            plan = mj.transfer_plan(p, q)
+            assert type(plan.k) is int and type(plan.steps) is tuple
+            for s in plan.steps:
+                assert type(s.i) is int and type(s.j) is int and type(s.t) is float
+                assert mj.TTransform(s.i, s.j, s.t) == s
+            assert mj.TransferPlan(plan.steps, plan.k) == plan
+            for clone in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+                assert clone == plan
+                assert clone.matrix.tobytes() == plan.matrix.tobytes()
+            obj = transfer_plan_to_json(plan)
+            assert json.loads(json.dumps(obj)) == obj
+            assert all(type(s["i"]) is int and type(s["j"]) is int for s in obj["steps"])
+            assert type(obj["k"]) is int
+
+    def test_negative_t_still_raises(self, monkeypatch):
+        with pytest.raises(ValueError):
+            mj.TTransform(0, 1, -0.25)
+        # a negative step size inside the sweep meets the same range check
+        p, q = mj.sample_majorized_pair(8, 8)
+        monkeypatch.setattr(order, "min", lambda a, b: -abs(builtins.min(a, b)), raising=False)
+        with pytest.raises(ValueError, match="t must lie in"):
+            mj.transfer_plan(p, q)

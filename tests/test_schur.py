@@ -316,6 +316,17 @@ class TestBruteForceOracle:
             got = mj.brute_force_extremum(fns[name], p, delta, n=100, seed=i, mode=mode)
             assert got.hex() == want, (i, name, mode, k, base, delta)
 
+    def test_large_k_blocks_are_bounded_by_entries(self, peak_traced_mb):
+        # at k=10**5 a block holds one row, not 64 (whose block peaked near
+        # 200 MB traced); values are those the 64-row blocks gave
+        p = random_distribution(np.random.default_rng(0), k=10**5)
+        for f, mode, want in (
+            (mj.shannon(), "max", "0x1.09034e52b52d7p+4"),
+            (mj.sum_of_powers(2.0), "min", "0x1.65c308978a474p-17"),
+        ):
+            assert mj.brute_force_extremum(f, p, 0.3, 64, 5, mode).hex() == want
+        assert peak_traced_mb() < 16
+
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 64, 129])
     def test_block_scores_equal_per_row_calls(self, k):
         # one fn call over a block scores each row as f does on that row alone
