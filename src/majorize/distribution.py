@@ -431,6 +431,7 @@ def sample_majorized_pair(
     q is a probabilistic mixture of random permutations of p (the identity
     is always one component), which is exactly the Hardy-Littlewood-Polya
     characterization of the pairs below p in the majorization order.
+    q's perm maps back to the caller's order of p's draw, as p's does.
 
     The k permutations are drawn in blocks of at most _BLOCK_ENTRIES
     entries, each one rng.permuted call along its rows, which is the
@@ -460,4 +461,5 @@ def sample_majorized_pair(
         np.multiply(values[perm], weights[start : start + m, None], out=block[1 : m + 1])
         block[0] = np.add.reduce(block[: m + 1], axis=0)
     order, values = _canonical_order(block[0])
-    return p, _trusted(Distribution, values=values, perm=order)
+    # the mixture is in p's canonical coordinates; p.perm maps them to the caller's
+    return p, _trusted(Distribution, values=values, perm=p.perm[order])

@@ -414,6 +414,20 @@ class TestSampleMajorizedPair:
             digest.update(rng.random().hex().encode())
             assert digest.hexdigest()[:16] == want, k
 
+    def test_q_maps_back_through_p_perm(self):
+        # q carries p's perm: in p's canonical coordinates, q's entries in
+        # the caller's order are the mixture itself, here rebuilt with one
+        # rng.permutation call per component
+        for k in (1, 2, 3, 8, 50, 300):
+            p, q = mj.sample_majorized_pair(k, k)
+            rng = np.random.default_rng(k)
+            _dirichlet(rng, k)
+            weights = _dirichlet(rng, k + 1)
+            mix = weights[0] * p.values
+            for w in weights[1:]:
+                mix = mix + w * p.values[rng.permutation(k)]
+            assert q.to_original_order()[p.perm].tobytes() == mix.tobytes()
+
     def test_pairs_always_ordered(self):
         for seed in range(1000):
             p, q = mj.sample_majorized_pair(3, seed)
