@@ -448,15 +448,14 @@ def sample_majorized_pair(
     weights = _dirichlet(rng, k + 1)
     rows = min(k, max(1, _BLOCK_ENTRIES // k))
     block = np.empty((rows + 1, k))
-    ids = np.arange(k)
-    perms = np.empty((rows, k), dtype=ids.dtype)
+    perms = np.empty((rows, k), dtype=np.intp)
     np.multiply(weights[0], values, out=block[0])
     for start in range(1, k + 1, rows):
         m = min(rows, k + 1 - start)
         # shuffled in place: permuted's own copy of a broadcast row is
         # column-major, and each row's shuffle then strides across the block
         perm = perms[:m]
-        perm[...] = ids
+        perm[:] = np.arange(k)
         rng.permuted(perm, axis=1, out=perm)
         np.multiply(values[perm], weights[start : start + m, None], out=block[1 : m + 1])
         block[0] = np.add.reduce(block[: m + 1], axis=0)
