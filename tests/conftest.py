@@ -40,6 +40,28 @@ def cumsum_calls(monkeypatch) -> collections.Counter:
 
 
 @pytest.fixture
+def call_counter(monkeypatch):
+    """Replace one module attribute with a counting wrapper for the rest of the test.
+
+    call_counter(module, name) installs the wrapper and returns a Counter
+    whose "calls" entry counts the calls of module.name made after it.
+    """
+
+    def install(module, name: str) -> collections.Counter:
+        calls = collections.Counter()
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls["calls"] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return install
+
+
+@pytest.fixture
 def peak_traced_mb():
     """Trace allocations for the test body; call the result for the peak in MB.
 

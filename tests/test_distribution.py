@@ -20,14 +20,17 @@ from conftest import ball_bases, random_distribution
 TIE_CLASSES = (
     "random", "half_zeros", "ninety_pct_zeros", "all_equal", "sorted",
     "one_decimal", "negative_zero", "subnormal", "tiny_negative", "near_tie",
-    "zero_block",
+    "zero_block", "sorted_near_tie",
 )
 TIE_CASES = [
     (k, case, policy)
     for k in (1, 2, 3, 8, 64, 1000, 10**5)
     for case in TIE_CLASSES
     for policy in ("reject", "renormalize")
-] + [(10**6, case, "reject") for case in ("half_zeros", "random", "all_colliding")]
+] + [
+    (10**6, case, "reject")
+    for case in ("half_zeros", "random", "all_colliding", "sorted", "all_equal")
+]
 
 
 def _tie_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -58,7 +61,7 @@ def _tie_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
         x = -np.sort(-x)
     elif case == "one_decimal":
         x = np.round(x, 1)
-    elif case in ("near_tie", "all_colliding"):
+    elif case in ("near_tie", "sorted_near_tie", "all_colliding"):
         # values that differ only below bit 12, under the index width of the
         # packed sort keys once k > 2**11, and some exact ties among them;
         # with a single base every entry shares one block of key bits. Bits
@@ -66,7 +69,7 @@ def _tie_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
         # patterns each are all clear or all set, so for index widths up to
         # 20 bits many unscaled entries sit at the lowest or highest value
         # of a block.
-        base = rng.uniform(0.1, 1.0, 300 if case == "near_tie" else 1).view(np.uint64)
+        base = rng.uniform(0.1, 1.0, 1 if case == "all_colliding" else 300).view(np.uint64)
         base &= np.uint64(~0xFFFFF & (2**64 - 1))
         base[1::2] |= np.uint64(0xFF000)
         flip = rng.integers(0, 1 << 12, k, dtype=np.uint64)
@@ -74,6 +77,8 @@ def _tie_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
         flip[end < 0.2] = 0
         flip[end > 0.8] = 0xFFF
         x = (base[rng.integers(0, base.size, k)] ^ flip).view(np.float64)
+        if case == "sorted_near_tie":
+            x = -np.sort(-x)
     return x
 
 
@@ -298,7 +303,10 @@ class TestBallRows:
         # the block sampler must reproduce sample_delta_ball bit for bit and
         # leave the generator where n sequential calls would leave it
         for b, p in enumerate(ball_bases(k).values()):
-            for delta in (0.0, 1e-13, 0.4, 2.0):
+            # 2.2e-16 and 1e-13 leave a third to a half of the rows over budget
+            # after the first step size, so those take the per-draw rule; 5e-324
+            # is the least budget above 0
+            for delta in (0.0, 5e-324, 2.2e-16, 1e-13, 0.4, 2.0):
                 for n in (1, 63, 64, 65, 500):
                     seed = 1000 * k + 100 * b + n
                     block_rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import majorize as mj
+from majorize import distribution
 from majorize.distribution import _ball_rows
 from majorize.errors import (
     AlphaOutOfRangeError,
@@ -326,6 +327,19 @@ class TestBruteForceOracle:
         ):
             assert mj.brute_force_extremum(f, p, 0.3, 64, 5, mode).hex() == want
         assert peak_traced_mb() < 16
+
+    def test_certify_sized_rows_fit_their_budget_in_one_step(self, call_counter):
+        # at the certify benchmark's sizes every ball row fits its budget
+        # after the block's vectorized step size; only budgets near float
+        # resolution hand rows to the per-draw rule
+        calls = call_counter(distribution, "_ball_point")
+        f, rng = mj.shannon(), np.random.default_rng(8)
+        for k in range(8, 129):
+            p = mj.sample_majorized_pair(k, k)[0]
+            mj.brute_force_extremum(f, p, float(rng.uniform(0.01, 1.0)), 500, k, "max")
+        assert calls["calls"] == 0
+        mj.brute_force_extremum(f, p, 1e-13, 500, 0, "max")
+        assert calls["calls"] > 0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 64, 129])
     def test_block_scores_equal_per_row_calls(self, k):
