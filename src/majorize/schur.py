@@ -77,7 +77,9 @@ def renyi_entropy(alpha: float, base: float = 2.0) -> SchurFunction:
     entries above a positive threshold is not Schur-concave; tail cuts
     and the samplers write exact zeros); alpha=1 and anything within
     1e-6 of it routes to the Shannon formula to avoid the 1/(1-alpha)
-    blowup; alpha=inf is -log of the largest entry.
+    blowup; alpha=inf is -log of the largest entry, and so is any alpha past
+    float max / |log(smallest subnormal)|, where alpha * log(p1) can
+    overflow and the value rounds to the alpha=inf one.
     """
     alpha = float(alpha)
     if alpha < 0.0 or math.isnan(alpha):
@@ -85,7 +87,7 @@ def renyi_entropy(alpha: float, base: float = 2.0) -> SchurFunction:
     log_base = math.log(check_base(base))
     name = "renyi:inf" if math.isinf(alpha) else f"renyi:{alpha:g}"
 
-    if math.isinf(alpha):
+    if alpha > np.finfo(float).max / -math.log(np.finfo(float).smallest_subnormal):
 
         def fn(v: np.ndarray) -> np.ndarray:
             return -_log(v[..., 0]) / log_base

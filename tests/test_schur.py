@@ -137,6 +137,13 @@ class TestEntropyFamilies:
         assert mj.renyi_entropy(math.inf)(p) <= value <= mj.renyi_entropy(2.0)(p)
         # (2000 * log2(0.5) + log2(1 + 0.6**2000 + 0.4**2000)) / (1 - 2000)
         assert value == pytest.approx(2000.0 / 1999.0, rel=1e-12)
+        # past max / |log(smallest subnormal)|, about 2.41e305, alpha * log(p1)
+        # can overflow; such orders round to the alpha=inf value, log2(10) here
+        huge, top = mj.renyi_entropy(1e308), mj.renyi_entropy(math.inf)
+        assert huge.name == "renyi:1e+308"
+        assert huge(mj.uniform(10)) == top(mj.uniform(10)) == pytest.approx(math.log2(10))
+        block = np.vstack([p.values, [0.6, 0.3, 0.1]])
+        assert huge.fn(block).tolist() == top.fn(block).tolist()
 
     def test_outer_logs_are_math_log(self):
         # np.log rounds this p1 one ulp away from math.log on common builds;
