@@ -28,9 +28,9 @@ from .errors import (
 ArrayLike = Union[Sequence[float], np.ndarray]
 _T = TypeVar("_T")
 
-# Sum slack of the public validators, which guard only objects a caller
-# constructs directly; objects the library builds are wrapped by _trusted.
-_STRUCT_TOL = DEFAULT_TAU_NORM
+# Step shrink of the ball-draw rule: both samplers scale delta over a
+# step's l1 width by it, and must agree bit for bit.
+_BALL_SHRINK = 1.0 - 1e-12
 
 # Entries per block of sampled rows: the pair sampler's permutations and
 # the oracle's ball rows are drawn this many at a time, at most.
@@ -132,7 +132,9 @@ class Distribution:
             raise ValueError("values must be finite")
         if values[-1] < 0.0 or not np.all(values[:-1] >= values[1:]):
             raise ValueError("values must be non-increasing and nonnegative")
-        if abs(float(values.sum()) - 1.0) > _STRUCT_TOL:
+        # the public sum slack: only objects a caller builds reach this
+        # check; objects the library builds are wrapped by _trusted
+        if abs(float(values.sum()) - 1.0) > DEFAULT_TAU_NORM:
             raise NotNormalizedError(f"values sum to {values.sum()!r}")
         # dtype first: the intp cast would truncate a float or boolean perm
         if perm.dtype.kind not in "iu" or perm.shape != values.shape or not np.array_equal(
@@ -223,7 +225,7 @@ class LorenzCurve:
         # concavity comes for free from sortedness; slack covers cumsum noise
         if np.any(np.diff(steps) > 1e-9):
             raise ValueError("increments must be non-increasing")
-        if abs(float(cum[-1]) - 1.0) > _STRUCT_TOL:
+        if abs(float(cum[-1]) - 1.0) > DEFAULT_TAU_NORM:  # as in Distribution
             raise NotNormalizedError(f"curve ends at {cum[-1]!r}, expected 1")
         cum.setflags(write=False)
         object.__setattr__(self, "cumulative", cum)
@@ -370,19 +372,19 @@ def sample_delta_ball(
 def _ball_point(base: np.ndarray, step: np.ndarray, delta: float) -> np.ndarray:
     """base + t * step moved at most delta in l1, clamped at 0: both samplers' draw rule.
 
-    t is 1 if the step fits, else delta over its l1 width shrunk by 1e-12.
+    t is 1 if the step fits, else delta over its l1 width times _BALL_SHRINK.
     Rounding can still overshoot by ulps, so t is rescaled against the
     measured move up to four times, then the draw falls back to base; the
     clamp and any later sort only shrink the move.
     """
     width = float(np.abs(step).sum())
-    t = 1.0 if width <= delta else (delta / width) * (1.0 - 1e-12)
+    t = 1.0 if width <= delta else (delta / width) * _BALL_SHRINK
     vals = base + t * step
     for _ in range(4):
         moved = float(np.abs(vals - base).sum())
         if moved <= delta:
             break
-        t *= (delta / moved) * (1.0 - 1e-12)
+        t *= (delta / moved) * _BALL_SHRINK
         vals = base + t * step
     else:
         vals = base.copy()
@@ -404,7 +406,7 @@ def _ball_rows(p: Distribution, delta: float, rng: np.random.Generator, n: int) 
     width = np.abs(step).sum(axis=1)
     inside = width <= delta
     t = np.ones(n)
-    t[~inside] = (delta / width[~inside]) * (1.0 - 1e-12)
+    t[~inside] = (delta / width[~inside]) * _BALL_SHRINK
     vals = base + t[:, None] * step
     # rows that rounding leaves over budget redo the draw as one call would
     for r in np.flatnonzero(np.abs(vals - base).sum(axis=1) > delta):

@@ -122,21 +122,15 @@ def sum_of_powers(alpha: float) -> SchurFunction:
     return SchurFunction(f"sum_powers:{alpha:g}", SCHUR_CONVEX, fn)
 
 
-def _extremal_argument(direction: str, mode: str) -> str:
-    # growing functions peak at the concentrated end, shrinking ones at
-    # the flat end; minima swap the two
-    if direction == SCHUR_CONVEX:
-        return "steepest" if mode == "max" else "flattest"
-    return "flattest" if mode == "max" else "steepest"
-
-
 def extremal_point(
     f: SchurFunction, p: Distribution, delta: float, mode: str
 ) -> tuple[str, Distribution]:
     """The ball element where f attains its `mode` extremum, with its kind."""
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    kind = _extremal_argument(f.direction, mode)
+    # growing functions peak at the concentrated end, shrinking ones at
+    # the flat end; minima swap the two
+    kind = "steepest" if (f.direction == SCHUR_CONVEX) == (mode == "max") else "flattest"
     return kind, _extremal(p, check_delta(delta), kind).result
 
 

@@ -13,7 +13,6 @@ levels, block boundaries); steepest also has a closed-form Lorenz curve.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -177,11 +176,12 @@ def _flattest_point(p: Distribution, delta: float) -> tuple[Distribution, Flatte
         # only reachable within ulps of the uniform clamp boundary, or at
         # budget 0 on an all-equal vector whose sum is off 1 by float slack
         return uniform(k), None
+    # the block counts search the ascending view w, which needs no copy
     meta = FlattestMeta(
         upper_level,
         lower_level,
-        upper_count=k - _rank(v, upper_level - DEFAULT_TAU, "left"),
-        lower_start=k - _rank(v, lower_level + DEFAULT_TAU, "right") + 1,
+        upper_count=k - int(np.searchsorted(w, upper_level - DEFAULT_TAU, "left")),
+        lower_start=k - int(np.searchsorted(w, lower_level + DEFAULT_TAU, "right")) + 1,
     )
     vals = np.clip(v, lower_level, upper_level, out=buf)
     return _trusted(Distribution, values=vals, perm=p.perm), meta
@@ -192,19 +192,15 @@ def _extremal(p: Distribution, delta: float, kind: str) -> SmoothedResult:
 
     p._memo maps each kind to the last result built from p, so each
     kind holds one slot and a call at the same delta returns that very
-    object. The match is exact: 0.0 and -0.0 compare equal but can round
-    a level differently, so they must also agree in sign. steepest(p, 0)
+    object. The match is on the float's bits, sign included: 0.0 and -0.0
+    compare equal but can round a level differently. steepest(p, 0)
     is p itself and is not kept, or p would hold a reference to itself.
     A slot is replaced whole, so concurrent callers can at worst build a
     result twice, never read one built for another delta.
     """
     memo = p._memo
     hit = memo.get(kind)
-    if (
-        hit is not None
-        and hit.delta == delta
-        and math.copysign(1.0, hit.delta) == math.copysign(1.0, delta)
-    ):
+    if hit is not None and hit.delta == delta and (delta != 0.0 or hit.delta.hex() == delta.hex()):
         return hit
     build = _steepest_point if kind == "steepest" else _flattest_point
     point, meta = build(p, delta)
@@ -251,14 +247,6 @@ def _water_level(w: np.ndarray, c: np.ndarray, budget: float, from_above: bool) 
         if ok[first]:
             return head.item(first)
     return (c.item(hi) + shift) / (hi + 1)
-
-
-def _rank(v: np.ndarray, x: float, side: str) -> int:
-    """How many entries of the non-increasing v are below x ("left") or at most x ("right").
-
-    One binary search of the ascending view v[::-1], which needs no copy.
-    """
-    return int(np.searchsorted(v[::-1], x, side))
 
 
 def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:
