@@ -82,6 +82,25 @@ def test_bigger_budget_reaches_further(p, d1, d2):
     assert mj.majorizes(mj.flattest(p, small).result, mj.flattest(p, big).result)
 
 
+@st.composite
+def split_budgets(draw):
+    # two budgets whose sum is a valid budget: b <= 2 - a rounds a + b to at most 2
+    a = draw(deltas)
+    return a, draw(st.floats(min_value=0.0, max_value=2.0 - a, allow_nan=False))
+
+
+@settings(deadline=None)
+@given(distributions(), split_budgets())
+def test_flattest_composes_in_delta(p, budgets):
+    # ROADMAP direction 6; steepest's composition fails near a zero tail
+    # (test_steepest_composes_in_delta_near_a_zero_tail)
+    a, b = budgets
+    twice = mj.flattest(mj.flattest(p, a).result, b).result
+    once = mj.flattest(p, a + b).result
+    gap = np.abs(mj.lorenz(twice).cumulative - mj.lorenz(once).cumulative).max()
+    assert gap <= 4 * p.k * np.finfo(float).eps
+
+
 @settings(deadline=None)
 @given(distributions(), deltas)
 def test_closed_form_lorenz_matches_construction(p, delta):

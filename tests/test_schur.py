@@ -371,6 +371,23 @@ class TestBruteForceOracle:
         with pytest.raises(InvalidDeltaError):
             mj.brute_force_extremum(f, P, -1.0, n=1, seed=0, mode="max")
 
+    # Hypothesis found these; pinned here, they fail in every checkout,
+    # whatever its example database holds
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP B4: a sampled ball row whose float mass or score rounds "
+        "past the extremal point's beats the closed form by ulps",
+    )
+    @pytest.mark.parametrize(
+        "values, delta",
+        [([0.5, 0.5], 1e-12), ([2 / 3, 1 / 3], 1.3377693852074827e-11)],
+        ids=["half-half", "two-thirds"],
+    )
+    def test_oracle_equals_renyi2_maximum(self, values, delta):
+        f, p = mj.renyi_entropy(2.0), mj.make_distribution(values)
+        assert mj.smooth_max(f, p, delta) == mj.brute_force_extremum(f, p, delta, 5, 3, "max")
+
 
 class TestParseFunctionSpec:
     def test_accepted_forms(self):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import fractions
 import gc
 import hashlib
 import math
@@ -226,6 +227,66 @@ class TestExtremality:
             delta = float(rng.uniform(0, 2))
             assert mj.majorizes(mj.steepest(p, delta).result, mj.steepest(q, delta).result)
             assert mj.majorizes(mj.flattest(p, delta).result, mj.flattest(q, delta).result)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 1: steepest's absolute 1e-12 cut keeps every entry "
+    "when delta < 2e-12 and takes delta/2 from a zero last entry",
+)
+@pytest.mark.parametrize(
+    "values, delta",
+    [([0.5, 0.3, 0.2, 0.0, 0.0], 1e-12), ([0.5, 0.3, 0.2, 0.0], 2e-12)],
+    ids=["k5", "k4"],
+)
+def test_steepest_near_a_zero_tail_keeps_exact_mass(values, delta):
+    p = mj.make_distribution(values)
+    mass = sum(map(fractions.Fraction, mj.steepest(p, delta).result.values.tolist()))
+    assert abs(mass - 1) <= 4 * p.k * EPS
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 1: the zero-tail cut breaks steepest's composition "
+    "in delta, by 183 k eps here",
+)
+def test_steepest_composes_in_delta_near_a_zero_tail():
+    raw = [0, 0, 0, 0.211840339102855, 0.12922714526182666]
+    p = mj.make_distribution(raw, "renormalize")
+    a, b = 6.896695048539657e-12, 4.0594487136295144e-13
+    twice = mj.steepest(mj.steepest(p, a).result, b).result
+    once = mj.steepest(p, a + b).result
+    gap = np.abs(mj.lorenz(twice).cumulative - mj.lorenz(once).cumulative).max()
+    assert gap <= 4 * p.k * EPS
+
+
+CALLER_ORDER = mj.make_distribution([0.1, 0.9])  # perm [1, 0]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 9: a clamped steepest result carries the identity "
+    "perm, not p's",
+)
+def test_clamped_steepest_maps_to_the_callers_order():
+    out = mj.steepest(CALLER_ORDER, 0.2).result.to_original_order()
+    assert out.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP direction 9: a clamped flattest result carries the identity "
+    "perm, not p's",
+)
+def test_clamped_flattest_keeps_the_callers_perm():
+    assert np.array_equal(mj.flattest(CALLER_ORDER, 1.0).result.perm, CALLER_ORDER.perm)
 
 
 def _argmax_water_level(v: np.ndarray, budget: float) -> float:
