@@ -8,6 +8,8 @@ Distances are l1 distances between canonical vectors (maximum 2).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, TypeVar, Union
@@ -35,6 +37,10 @@ _BALL_SHRINK = 1.0 - 1e-12
 # Entries per block of sampled rows: the pair sampler's permutations and
 # the oracle's ball rows are drawn this many at a time, at most.
 _BLOCK_ENTRIES = 1 << 14
+
+# Inputs at least this long are sorted as two halves on two threads, when
+# the process may run on two CPUs; shorter ones on one.
+_SPLIT_SIZE = 1 << 18
 
 
 def _dirichlet(rng: np.random.Generator, shape: int | tuple[int, int]) -> np.ndarray:
@@ -66,18 +72,49 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entries of every block that came out misordered puts them right, since
     blocks hold disjoint value ranges in descending order. The gathered
     values are a new array the caller may write.
+
+    From _SPLIT_SIZE entries on, on two or more usable CPUs, the keys are
+    packed, sorted and gathered as two halves on two threads, which numpy
+    runs without the interpreter lock. Partitioning at the middle key
+    first is exact because the keys are unique (each holds its index):
+    the k // 2 smallest keys land in the first half in some order, so
+    sorting each half in place gives the sorted keys, bit for bit.
     """
     k = arr.size
     sign = np.uint64(1 << 63)
     low = np.uint64((1 << (k - 1).bit_length()) - 1)
-    keys = np.invert(arr.view(np.uint64))
-    keys |= sign
-    keys &= ~low
-    keys |= np.arange(k, dtype=np.uint64)
-    keys.sort()
-    keys &= low
-    order = np.asarray(keys.view(np.int64), dtype=np.intp)
-    s = arr[order]
+    if k < _SPLIT_SIZE or _usable_cpus() < 2:
+        keys = np.invert(arr.view(np.uint64))
+        keys |= sign
+        keys &= ~low
+        keys |= np.arange(k, dtype=np.uint64)
+        keys.sort()
+        keys &= low
+        order = np.asarray(keys.view(np.int64), dtype=np.intp)
+        s = arr[order]
+    else:
+        keys = np.arange(k, dtype=np.uint64)
+        s = np.empty(k)
+
+        def pack(a: int, b: int) -> None:
+            bits = s[a:b].view(np.uint64)  # scratch until gather writes s
+            np.invert(arr[a:b].view(np.uint64), out=bits)
+            bits |= sign
+            bits &= ~low
+            keys[a:b] |= bits
+
+        def gather(a: int, b: int) -> None:
+            half = keys[a:b]
+            half.sort()
+            half &= low
+            # mode="raise" would gather into a buffer and copy it to out
+            np.take(arr, half.view(np.intp), out=s[a:b], mode="clip")
+
+        m = k // 2
+        _on_two_threads(pack, m, k)
+        keys.partition(m)
+        _on_two_threads(gather, m, k)
+        order = keys.view(np.intp)
     bad = np.flatnonzero(s[1:] > s[:-1])
     if bad.size:
         # each block holds the values whose bits agree above `low`: from
@@ -95,6 +132,37 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order[at] = order[fix]
         s[at] = s[fix]
     return order, s
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_two_threads(fn, m: int, k: int) -> None:
+    """Run fn(0, m) on a new thread and fn(m, k) here; re-raise the thread's error.
+
+    The thread is joined before this returns or raises, whichever half
+    fails; an error of the caller's half takes precedence.
+    """
+    errors = []
+
+    def first_half() -> None:
+        try:
+            fn(0, m)
+        except BaseException as exc:  # handed to the caller below
+            errors.append(exc)
+
+    worker = threading.Thread(target=first_half)
+    worker.start()
+    try:
+        fn(m, k)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
 
 
 def check_delta(delta: float) -> float:

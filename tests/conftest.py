@@ -1,4 +1,5 @@
 import collections
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,19 @@ def ball_bases(k: int) -> dict[str, mj.Distribution]:
         raw = np.resize([3.0, 3.0, 1.0, 0.0], k)
         bases["tied"] = mj.make_distribution(raw, "renormalize")
     return bases
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread alive which it started.
+
+    A non-daemon thread left running keeps the process from exiting, so
+    one leaked by the library would hang every CLI call that reached it.
+    """
+    before = set(threading.enumerate())
+    yield
+    leaked = [t for t in threading.enumerate() if t not in before]
+    assert not leaked, f"threads left alive: {leaked}"
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
 import hashlib
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from majorize.errors import (
     ZeroDimensionError,
     ZeroSumError,
 )
-from majorize.distribution import _ball_rows, _dirichlet
+from majorize import distribution
+from majorize.distribution import _SPLIT_SIZE, _ball_rows, _dirichlet
 
 from conftest import ball_bases, random_distribution
 
@@ -24,7 +27,8 @@ TIE_CLASSES = (
 )
 TIE_CASES = [
     (k, case, policy)
-    for k in (1, 2, 3, 8, 64, 1000, 10**5)
+    # from _SPLIT_SIZE on, sorted on two threads; the odd size splits unevenly
+    for k in (1, 2, 3, 8, 64, 1000, 10**5, _SPLIT_SIZE, _SPLIT_SIZE + 1)
     for case in TIE_CLASSES
     for policy in ("reject", "renormalize")
 ] + [
@@ -177,6 +181,37 @@ class TestMakeDistribution:
         d = mj.make_distribution([0.7, 0.3])
         with pytest.raises(ValueError):
             d.values[0] = 0.0
+
+
+class TestSplitSort:
+    def test_large_inputs_sort_on_two_threads(self, call_counter, monkeypatch):
+        x = _tie_class_input("random", 10**6, np.random.default_rng(6))
+        calls = call_counter(distribution, "_on_two_threads")
+        monkeypatch.setattr(distribution, "_usable_cpus", lambda: 2)
+        split = mj.make_distribution(x, "renormalize")
+        assert calls["calls"] == 2  # packing, then sorting and gathering
+        mj.make_distribution(x[: 10**5], "renormalize")
+        assert calls["calls"] == 2
+        monkeypatch.setattr(distribution, "_usable_cpus", lambda: 1)
+        serial = mj.make_distribution(x, "renormalize")
+        assert calls["calls"] == 2
+        assert serial.perm.tobytes() == split.perm.tobytes()
+        assert serial.values.tobytes() == split.values.tobytes()
+
+    def test_helper_reraises_the_workers_error(self):
+        before = set(threading.enumerate())
+        ran = []
+
+        def fn(a, b):
+            ran.append((a, b))
+            if a == 0:
+                time.sleep(0.05)  # still running when the caller's half ends
+                raise KeyError("first half")
+
+        with pytest.raises(KeyError, match="first half"):
+            distribution._on_two_threads(fn, 3, 7)
+        assert sorted(ran) == [(0, 3), (3, 7)]
+        assert set(threading.enumerate()) == before
 
 
 def test_uniform():
