@@ -67,7 +67,7 @@ class SmoothedResult:
     meta holds the construction internals of the matching `kind`, and is
     None on a clamped result: one where the budget already covered the
     distance to the absolute extreme (point mass or uniform), which is
-    returned as is.
+    returned with p's perm, like every other result.
     """
 
     result: Distribution
@@ -94,8 +94,8 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     of the sorted vector: entries whose running total fits under 1 stay,
     the next entry receives the remainder, the rest become 0. If the
     point mass (1, 0, ..., 0) is already within delta, it is returned
-    directly with clamped=True. The result majorizes every distribution
-    within delta of p.
+    with p's perm and clamped=True. The result majorizes every
+    distribution within delta of p.
 
     p keeps its last steepest result, so a repeat call at the same delta
     (here or inside smooth_max, smooth_min, extremal_point and
@@ -148,8 +148,8 @@ def flattest(p: Distribution, delta: float) -> SmoothedResult:
     Levels the largest entries down to an upper water level and the
     smallest up to a lower one, each side spending delta/2, leaving the
     middle untouched. If the uniform distribution is already within
-    delta, it is returned directly with clamped=True. Every distribution
-    within delta of p majorizes the result.
+    delta, it is returned with p's perm and clamped=True. Every
+    distribution within delta of p majorizes the result.
 
     p keeps its last flattest result, so a repeat call at the same delta
     (here, in lorenz_flattest, smooth_max, smooth_min, extremal_point and
@@ -204,6 +204,8 @@ def _extremal(p: Distribution, delta: float, kind: str) -> SmoothedResult:
         return hit
     build = _steepest_point if kind == "steepest" else _flattest_point
     point, meta = build(p, delta)
+    if meta is None:  # the closed-form extreme, placed in p's coordinates
+        point = _trusted(Distribution, values=point.values, perm=p.perm)
     sr = SmoothedResult(point, kind, delta, meta)
     if point is not p:
         memo[kind] = sr

@@ -75,6 +75,21 @@ def test_ball_samples_stay_between_extremes(p, delta, seed):
 
 
 @settings(deadline=None)
+@given(distributions(), deltas, seeds)
+def test_results_stay_within_delta_in_the_callers_order(p, delta, seed):
+    # each result maps back through its own perm, clamped ones included
+    # (ROADMAP direction 9), and moves the caller's vector by at most delta
+    original = p.to_original_order()
+    for r in (
+        mj.steepest(p, delta).result,
+        mj.flattest(p, delta).result,
+        mj.sample_delta_ball(p, delta, seed),
+    ):
+        moved = float(np.abs(r.to_original_order() - original).sum())
+        assert moved <= delta + 4 * p.k * np.finfo(float).eps
+
+
+@settings(deadline=None)
 @given(distributions(), deltas, deltas)
 def test_bigger_budget_reaches_further(p, d1, d2):
     small, big = sorted((d1, d2))
