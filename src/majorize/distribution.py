@@ -97,24 +97,24 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = np.empty(k)
 
         def pack(a: int, b: int) -> None:
-            bits = s[a:b].view(np.uint64)  # scratch until gather writes s
-            np.invert(arr[a:b].view(np.uint64), out=bits)
-            bits |= sign
-            bits &= ~low
-            keys[a:b] |= bits
+            packed = s[a:b].view(np.uint64)  # scratch until gather writes s
+            np.invert(arr[a:b].view(np.uint64), out=packed)
+            packed |= sign
+            packed &= ~low
+            keys[a:b] |= packed
 
         def gather(a: int, b: int) -> None:
             half = keys[a:b]
             half.sort()
             half &= low
             # mode="raise" would gather into a buffer and copy it to out
-            np.take(arr, half.view(np.intp), out=s[a:b], mode="clip")
+            np.take(arr, half.view(np.int64), out=s[a:b], mode="clip")
 
         m = k // 2
         _on_two_threads(pack, m, k)
         keys.partition(m)
         _on_two_threads(gather, m, k)
-        order = keys.view(np.intp)
+        order = np.asarray(keys.view(np.int64), dtype=np.intp)
     bad = np.flatnonzero(s[1:] > s[:-1])
     if bad.size:
         # each block holds the values whose bits agree above `low`: from
