@@ -42,6 +42,10 @@ _BLOCK_ENTRIES = 1 << 14
 # the process may run on two CPUs; shorter ones on one.
 _SPLIT_SIZE = 1 << 18
 
+# Linux's status line of the calling thread; its field 39 is the CPU the
+# thread last ran on.
+_THREAD_STAT = "/proc/thread-self/stat"
+
 
 def _dirichlet(rng: np.random.Generator, shape: int | tuple[int, int]) -> np.ndarray:
     """rng.dirichlet(np.ones(k), size=n) bit for bit, in the same generator state.
@@ -146,11 +150,26 @@ def _on_two_threads(fn, m: int, k: int) -> None:
 
     The thread is joined before this returns or raises, whichever half
     fails; an error of the caller's half takes precedence.
+
+    Before its half, the new thread restricts its own CPU affinity to the
+    process's CPUs other than the one the caller is on (_other_cpus), so
+    the halves run side by side: left alone, a guest scheduler can place
+    the thread on the caller's CPU, and the halves then take turns. Only
+    that thread's affinity changes, and it ends before this returns, so
+    the caller's threads, the serial path and every output byte stay as
+    they are. Where the CPU cannot be read or the affinity cannot be set,
+    the thread runs unpinned.
     """
     errors = []
+    others = _other_cpus()
 
     def first_half() -> None:
         try:
+            if others:
+                try:
+                    os.sched_setaffinity(0, others)
+                except OSError:
+                    pass  # unpinned: the halves may share a CPU, as before
             fn(0, m)
         except BaseException as exc:  # handed to the caller below
             errors.append(exc)
@@ -163,6 +182,19 @@ def _on_two_threads(fn, m: int, k: int) -> None:
         worker.join()
     if errors:
         raise errors[0]
+
+
+def _other_cpus() -> set[int]:
+    """The process's CPUs other than the calling thread's; empty where unknown."""
+    if not hasattr(os, "sched_setaffinity"):
+        return set()
+    try:
+        with open(_THREAD_STAT, "rb") as f:
+            # field 39, "processor", counted after the command name's ")"
+            cpu = int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return set()
+    return os.sched_getaffinity(0) - {cpu}
 
 
 def check_delta(delta: float) -> float:

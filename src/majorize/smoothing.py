@@ -217,15 +217,32 @@ def _water_level(w: np.ndarray, c: np.ndarray, budget: float, from_above: bool) 
 
     From above (w non-increasing) the top entries are cut down to x, from
     below (w non-decreasing) the bottom ones raised up to it. With the
-    first m+1 entries leveled, x = (c[m] -/+ budget)/(m+1) for the prefix
-    sums c of w, which the caller passes and the solve never writes (from
-    above they are p's kept Lorenz curve); the segment is the first m
-    whose x does not pass w[m+1] (x >= w[m+1] from above, <= from below),
-    or else the last m. A bisection over that float predicate. Rounded, it can
-    flip along a tie run (True, False, True on the renormalized
-    [0.6, 0.7, 0.7] from below at budget 0.05), so one vectorized pass
-    over the prefix before the bisected m takes the first passing m, as a
-    full scan would, bit for bit; it costs the leveled block, not k.
+    first m+1 entries leveled, x = (c[m] -/+ budget)/(m+1) for the
+    sequential prefix sums c of w (np.cumsum), which the caller passes and
+    the solve never writes (from above they are p's kept Lorenz curve);
+    the segment is the first m whose x does not pass w[m+1] (x >= w[m+1]
+    from above, <= from below), or else the last m. A bisection over that
+    float predicate. Rounded, it can flip along a tie run (True, False,
+    True on the renormalized [0.6, 0.7, 0.7] from below at budget 0.05),
+    so a vectorized pass over the prefix before the bisected m takes the
+    first passing m, as a full scan would, bit for bit (_first_passing).
+
+    The pass runs only when the failed probe at hi - 1 missed w[hi] by at
+    most 16u*M, for u = 2**-53 and M = max(c[hi-1], budget, 2**-1022);
+    a wider miss proves that no earlier m passes. Let g_m be the exact
+    gap of the computed c: x_m - w[m+1] from above, w[m+1] - x_m from
+    below, with x_m = (c[m] -/+ budget)/(m+1) unrounded, so m passes
+    when g_m >= 0. The sum c[m+1] = c[m] + w[m+1] - e rounds once, with
+    |e| <= u*c[m+1] <= u*M for m + 1 <= hi - 1, and w is monotone, so
+        g_m <= g_{m+1} + (g_{m+1} + |e|)/(m+1).
+    Hence g_{m+1} <= -u*M gives g_m <= g_{m+1}: from g_{hi-1} down,
+    every earlier gap is at least as negative. A probe rounds the sum
+    with the budget (at most u*|c[m] -/+ budget| <= 2u*M) and the
+    quotient (u relative, plus 2**-1075 below the normal range, which
+    the 2**-1022 floor of M keeps under u*M), so its level is off by
+    at most r = 5u*M + O(u^2). A computed miss above 16u*M is an exact
+    miss above 16u*M/(1+u) > 2r, so g_{hi-1} < -r <= -u*M, every
+    earlier g_m < -r, and every earlier probe fails as computed.
 
     Budget 0 returns w[0] exactly. The budget must not level past the
     far end of w; the one caller, _flattest_point, passes delta/2 only
@@ -242,13 +259,25 @@ def _water_level(w: np.ndarray, c: np.ndarray, budget: float, from_above: bool) 
         else:
             lo = mid + 1
     if hi > 1:  # hi - 1 failed its probe; an earlier m may still pass
-        head = c[: hi - 1] + shift
-        head /= np.arange(1.0, hi)
-        ok = passes(head, w[1:hi])
-        first = int(ok.argmax())
-        if ok[first]:
-            return head.item(first)
+        scale = max(c.item(hi - 1), budget, 2.0**-1022)
+        miss = (c.item(hi - 1) + shift) / hi - w.item(hi)
+        if abs(miss) * 2.0**49 <= scale:  # |miss| <= 16u*M, exactly
+            level = _first_passing(w, c, shift, hi - 1, passes)
+            if level is not None:
+                return level
     return (c.item(hi) + shift) / (hi + 1)
+
+
+def _first_passing(w: np.ndarray, c: np.ndarray, shift: float, n: int, passes) -> float | None:
+    """The level of the first m < n whose probe passes, as _water_level probes; else None.
+
+    One vectorized pass over the first n prefix sums.
+    """
+    head = c[:n] + shift
+    head /= np.arange(1.0, n + 1)
+    ok = passes(head, w[1 : n + 1])
+    first = int(ok.argmax())
+    return head.item(first) if ok[first] else None
 
 
 def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import threading
 import time
 
@@ -212,6 +213,77 @@ class TestSplitSort:
             distribution._on_two_threads(fn, 3, 7)
         assert sorted(ran) == [(0, 3), (3, 7)]
         assert set(threading.enumerate()) == before
+
+
+two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and two usable CPUs",
+)
+
+
+def _stat_line(cpu: int) -> bytes:
+    """A thread status line whose field 39 is cpu, behind a command name with ") " in it."""
+    fields = ["S"] + ["0"] * 35 + [str(cpu)] + ["0"] * 13
+    return b"4242 (odd) name) " + " ".join(fields).encode()
+
+
+@two_cpus
+class TestPinnedWorker:
+    """The split sort's thread runs on a CPU other than the caller's."""
+
+    def _worker_affinity(self) -> set[int]:
+        seen = {}
+
+        def fn(a, b):
+            if a == 0:
+                seen["worker"] = os.sched_getaffinity(0)
+
+        distribution._on_two_threads(fn, 1, 2)
+        return seen["worker"]
+
+    def test_worker_excludes_the_callers_cpu(self, monkeypatch, tmp_path):
+        cpus = os.sched_getaffinity(0)
+        caller = max(cpus)
+        stat = tmp_path / "stat"
+        stat.write_bytes(_stat_line(caller))
+        monkeypatch.setattr(distribution, "_THREAD_STAT", str(stat))
+        assert self._worker_affinity() == cpus - {caller}
+
+    def test_worker_reads_the_callers_cpu_from_the_os(self):
+        cpus = os.sched_getaffinity(0)
+        worker = self._worker_affinity()
+        assert len(worker) == len(cpus) - 1 and worker < cpus
+
+    def test_callers_affinity_is_unchanged(self):
+        before = os.sched_getaffinity(0)
+        x = _tie_class_input("random", 10**6, np.random.default_rng(7))
+        mj.make_distribution(x, "renormalize")
+        assert os.sched_getaffinity(0) == before
+        assert self._worker_affinity() < before  # the pin itself was applied
+
+    def test_failed_pin_runs_unpinned(self, monkeypatch, tmp_path):
+        x = _tie_class_input("random", 10**6, np.random.default_rng(8))
+        pinned = mj.make_distribution(x, "renormalize")
+        attempts = []
+
+        def refuse(pid, cpus):
+            attempts.append(cpus)
+            raise OSError("affinity refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        refused = mj.make_distribution(x, "renormalize")
+        assert len(attempts) == 2  # one per split step
+        monkeypatch.undo()
+        monkeypatch.setattr(distribution, "_THREAD_STAT", str(tmp_path / "missing"))
+        unread = mj.make_distribution(x, "renormalize")
+        assert self._worker_affinity() == os.sched_getaffinity(0)
+        garbled = tmp_path / "garbled"
+        garbled.write_bytes(b"4242 (no fields)")
+        monkeypatch.setattr(distribution, "_THREAD_STAT", str(garbled))
+        assert self._worker_affinity() == os.sched_getaffinity(0)
+        for out in (refused, unread):
+            assert out.perm.tobytes() == pinned.perm.tobytes()
+            assert out.values.tobytes() == pinned.values.tobytes()
 
 
 def test_uniform():

@@ -8,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import majorize as mj
 from majorize.errors import InvalidDeltaError
@@ -344,6 +346,59 @@ class TestWaterLevelFirstSegment:
                 level = _water_level(x, c, budget, from_above)
                 assert level.hex() == _water_level(x, x.cumsum(), budget, from_above).hex()
             assert c.tobytes() == before
+
+
+@st.composite
+def level_inputs(draw):
+    """Canonical values of one input shape at k up to 10**5, and a budget.
+
+    Shapes: random, tie runs (one-decimal values), near-ties (a few values
+    moved by a few ulps each) and zero tails; budgets from 1e-13 up.
+    """
+    shape = draw(st.sampled_from(["random", "ties", "near_ties", "zero_tail"]))
+    k = draw(st.one_of(st.integers(2, 64), st.integers(65, 10**5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "random":
+        raw = rng.random(k)
+    elif shape == "ties":
+        raw = np.round(rng.random(k), 1) + 0.1
+    elif shape == "near_ties":
+        base = rng.choice(rng.random(3) + 0.1, k)
+        raw = base * (1.0 + rng.integers(-4, 5, k) * 2.0**-52)
+    else:
+        raw = rng.random(k)
+        raw[k - draw(st.integers(0, k - 1)) :] = 0.0
+    budget = draw(st.one_of(st.sampled_from([1e-13, 1e-9, 1e-3, 0.05]), st.floats(1e-13, 0.5)))
+    return mj.make_distribution(raw, "renormalize").values, budget
+
+
+@settings(deadline=None, max_examples=200)
+@given(level_inputs())
+@example((mj.make_distribution([0.6, 0.7, 0.7], "renormalize").values, 0.05))
+def test_guarded_solve_matches_the_argmax_scan(case):
+    # the tie-run pass is skipped only where a rounding margin proves it idle
+    v, budget = case
+    if budget <= float(v.sum()) + 1e-9:
+        upper = _water_level(v, v.cumsum(), budget, from_above=True)
+        assert upper.hex() == _argmax_water_level(v, budget).hex()
+    w = v[::-1]
+    if budget <= v.size * float(v[0]) - float(v.sum()) + 1e-9:
+        lower = _water_level(w, w.cumsum(), budget, from_above=False)
+        assert lower.hex() == (-_argmax_water_level(-w, budget)).hex()
+
+
+def test_tie_pass_skips_random_input(call_counter):
+    calls = call_counter(smoothing, "_first_passing")
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        p = mj.make_distribution(rng.random(10**5), "renormalize")
+        for delta in (1e-3, 0.05, 0.2, 0.4, 0.6):
+            mj.flattest(p, delta)
+    assert calls["calls"] == 0
+    # a tie run whose predicate flips still takes the pass
+    w = mj.make_distribution([0.6, 0.7, 0.7], "renormalize").values[::-1]
+    _water_level(w, w.cumsum(), 0.05, from_above=False)
+    assert calls["calls"] == 1
 
 
 class TestClosedFormLorenz:
