@@ -156,9 +156,9 @@ def _on_two_threads(fn, m: int, k: int) -> None:
     the halves run side by side: left alone, a guest scheduler can place
     the thread on the caller's CPU, and the halves then take turns. Only
     that thread's affinity changes, and it ends before this returns, so
-    the caller's threads, the serial path and every output byte stay as
-    they are. Where the CPU cannot be read or the affinity cannot be set,
-    the thread runs unpinned.
+    the caller's threads keep theirs; the output does not depend on
+    where either half runs. Where the CPU cannot be read or the affinity
+    cannot be set, the thread runs unpinned.
     """
     errors = []
     others = _other_cpus()
@@ -169,7 +169,7 @@ def _on_two_threads(fn, m: int, k: int) -> None:
                 try:
                     os.sched_setaffinity(0, others)
                 except OSError:
-                    pass  # unpinned: the halves may share a CPU, as before
+                    pass  # unpinned: the halves may then share a CPU
             fn(0, m)
         except BaseException as exc:  # handed to the caller below
             errors.append(exc)
