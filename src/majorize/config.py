@@ -41,6 +41,14 @@ class Config:
             raise ValueError(f"unknown input policy: {self.input_policy!r}")
 
 
+def check_tolerance(name: str, tol: float) -> float:
+    """A tolerance override as a float; it must lie in [0, inf), so not nan."""
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must lie in [0, inf), got {tol}")
+    return tol
+
+
 def check_base(base: float) -> float:
     """A logarithm base as a float; it must lie in (1, inf), so not nan."""
     base = float(base)

@@ -16,7 +16,7 @@ from typing import Sequence, TypeVar, Union
 
 import numpy as np
 
-from .config import DEFAULT_TAU_NORM
+from .config import DEFAULT_TAU_NORM, check_tolerance
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -38,12 +38,12 @@ _BALL_SHRINK = 1.0 - 1e-12
 # the oracle's ball rows are drawn this many at a time, at most.
 _BLOCK_ENTRIES = 1 << 14
 
-# Inputs at least this long are sorted as two halves on two threads, when
-# the process may run on two CPUs; shorter ones on one.
+# Below _PACKED_SIZE entries a stable argsort sorts faster than packed keys
+# (BENCH_27.json); from _SPLIT_SIZE on, two threads when two CPUs are usable.
+_PACKED_SIZE = 960
 _SPLIT_SIZE = 1 << 18
 
-# Linux's status line of the calling thread; its field 39 is the CPU the
-# thread last ran on.
+# Linux's status line of the calling thread; field 39 is its last CPU.
 _THREAD_STAT = "/proc/thread-self/stat"
 
 
@@ -66,16 +66,16 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable descending order of a finite, non-negative vector, and its values.
 
     Bit for bit ``order = np.argsort(-arr, kind="stable")`` and ``arr[order]``
-    (``-0.0`` sorts as ``0.0``), from one SIMD sort of packed uint64 keys
-    instead of an index argsort. A key is the complement of the value's
-    bits with the sign bit set, so larger values come first, with its low
-    ceil(log2 k) bits replaced by the input index, so equal values keep
-    input order; the order is the sorted keys masked to those bits. Values
-    that differ only in the dropped bits share a block of equal high key
-    bits and come out in index order; one stable argsort by value of the
-    entries of every block that came out misordered puts them right, since
-    blocks hold disjoint value ranges in descending order. The gathered
-    values are a new array the caller may write.
+    (``-0.0`` sorts as ``0.0``): that argsort below _PACKED_SIZE entries,
+    else one SIMD sort of packed uint64 keys. A key is the complement of
+    the value's bits, its sign (so both zeros agree) and low ceil(log2 k)
+    bits set first, with the input index in those low bits: larger values
+    come first, equal ones in input order, and the order is the sorted
+    keys masked to those bits. Values that differ only in the dropped bits
+    share a block of equal high key bits and come out in index order; one
+    stable argsort by value of the entries of every misordered block puts
+    them right, since blocks hold disjoint value ranges in descending
+    order. The gathered values are a new array the caller may write.
 
     From _SPLIT_SIZE entries on, on two or more usable CPUs, the keys are
     packed, sorted and gathered as two halves on two threads, which numpy
@@ -85,40 +85,35 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sorting each half in place gives the sorted keys, bit for bit.
     """
     k = arr.size
+    if k < _PACKED_SIZE:
+        order = (-arr).argsort(kind="stable")
+        return order, arr[order]
     sign = np.uint64(1 << 63)
     low = np.uint64((1 << (k - 1).bit_length()) - 1)
+    keys = np.arange(k, dtype=np.uint64)
+    s = np.empty(k)
+
+    def pack(a: int, b: int) -> None:
+        packed = s[a:b].view(np.uint64)  # scratch until gather writes s
+        np.bitwise_or(arr[a:b].view(np.uint64), sign | low, out=packed)
+        keys[a:b] |= np.invert(packed, out=packed)
+
+    def gather(a: int, b: int) -> None:
+        part = keys[a:b]
+        part.sort()
+        part &= low
+        # "raise" would gather via a buffer; the method skips np.take's dispatch
+        arr.take(part.view(np.int64), out=s[a:b], mode="clip")
+
     if k < _SPLIT_SIZE or _usable_cpus() < 2:
-        keys = np.invert(arr.view(np.uint64))
-        keys |= sign
-        keys &= ~low
-        keys |= np.arange(k, dtype=np.uint64)
-        keys.sort()
-        keys &= low
-        order = np.asarray(keys.view(np.int64), dtype=np.intp)
-        s = arr[order]
+        pack(0, k)
+        gather(0, k)
     else:
-        keys = np.arange(k, dtype=np.uint64)
-        s = np.empty(k)
-
-        def pack(a: int, b: int) -> None:
-            packed = s[a:b].view(np.uint64)  # scratch until gather writes s
-            np.invert(arr[a:b].view(np.uint64), out=packed)
-            packed |= sign
-            packed &= ~low
-            keys[a:b] |= packed
-
-        def gather(a: int, b: int) -> None:
-            half = keys[a:b]
-            half.sort()
-            half &= low
-            # mode="raise" would gather into a buffer and copy it to out
-            np.take(arr, half.view(np.int64), out=s[a:b], mode="clip")
-
         m = k // 2
         _on_two_threads(pack, m, k)
         keys.partition(m)
         _on_two_threads(gather, m, k)
-        order = np.asarray(keys.view(np.int64), dtype=np.intp)
+    order = np.asarray(keys.view(np.int64), dtype=np.intp)
     bad = np.flatnonzero(s[1:] > s[:-1])
     if bad.size:
         # each block holds the values whose bits agree above `low`: from
@@ -280,18 +275,17 @@ def _trusted(cls: type[_T], **fields: object) -> _T:
     Values from a caller are checked (Distribution, LorenzCurve,
     make_distribution, TTransform, TransferPlan); values the library
     builds are valid by construction. Callers pass contiguous float64
-    values and intp perms:
-    make_distribution its checked input in _canonical_order, divided by
-    its finite sum; uniform and point_mass closed forms; the samplers
-    clamped convex combinations of distributions, sorted by
-    _canonical_order or a stable argsort (sample_delta_ball composes
-    that sort with p's perm); steepest and flattest sorted,
-    mass-keeping edits of p, or the point mass or uniform values, with
-    p's perm; lorenz the prefix sums from 0 of a canonical vector, and
-    lorenz_steepest a copy of them shifted by delta/2 and capped at 1.
-    transfer_plan passes Python int endpoints i < j < k, a t it has
-    range-checked, and a tuple of such steps. Kept objects are shared by
-    every later caller, so the write lock is what keeps them valid.
+    values and intp perms: make_distribution its checked input in
+    _canonical_order, divided by its finite sum; uniform and point_mass
+    closed forms; the samplers clamped convex combinations of
+    distributions, sorted by _canonical_order (its order composed with
+    p's perm for sample_delta_ball and the pair's q); steepest and
+    flattest sorted, mass-keeping edits of p, or the point mass or uniform
+    values, with p's perm; lorenz the prefix sums from 0 of a canonical
+    vector, and lorenz_steepest a copy of them shifted by delta/2 and
+    capped at 1. transfer_plan passes Python int endpoints i < j < k, a t
+    it has range-checked, and a tuple of such steps. Kept objects are
+    shared by every later caller, so the write lock keeps them valid.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # plain fields: as object.__setattr__ would store them
@@ -378,6 +372,7 @@ def make_distribution(
         arr = np.asarray(raw, dtype=np.float64)
     except OverflowError:  # an integer beyond the float64 range
         raise ValueError("entries must be finite") from None
+    tau_norm = check_tolerance("tau_norm", tau_norm)
     if arr.ndim != 1:
         raise ValueError("expected a flat vector of probabilities")
     if arr.size == 0:
@@ -453,20 +448,17 @@ def sample_delta_ball(
     """Draw a distribution within l1 distance `delta` of p.
 
     The sample is ``p + t * (u - p)`` for a random distribution u, with the
-    step size t chosen so the l1 move is at most delta; sorting to canonical
-    form can only shrink the distance further. The perm maps back to the
-    caller's order of p. `seed` is anything np.random.default_rng accepts:
-    a fixed integer gives a fixed draw, and a Generator is advanced in place.
+    step size t chosen so the l1 move is at most delta; sorting it to
+    canonical form (_canonical_order) can only shrink the distance further,
+    and its perm, that order composed with p's, maps back to the caller's
+    order of p. `seed` is anything np.random.default_rng accepts: a fixed
+    integer gives a fixed draw, and a Generator is advanced in place.
     """
     delta = check_delta(delta)
     rng = np.random.default_rng(seed)
     vals = _ball_point(p.values, _dirichlet(rng, p.k) - p.values, delta)
-    # timsort, not _canonical_order: at the small k this sampler serves it
-    # takes about 0.9 us at k <= 8 against about 7.7 us for the packed sort
-    # (_ball_rows keeps no perm, so its value sort needs no stability)
-    order = (-vals).argsort(kind="stable")
-    # vals is in p's canonical coordinates; p.perm maps them to the caller's
-    return _trusted(Distribution, values=vals[order], perm=p.perm[order])
+    order, values = _canonical_order(vals)
+    return _trusted(Distribution, values=values, perm=p.perm[order])
 
 
 def _ball_point(base: np.ndarray, step: np.ndarray, delta: float) -> np.ndarray:
@@ -556,5 +548,4 @@ def sample_majorized_pair(
         np.multiply(values[perm], weights[start : start + m, None], out=block[1 : m + 1])
         block[0] = np.add.reduce(block[: m + 1], axis=0)
     order, values = _canonical_order(block[0])
-    # the mixture is in p's canonical coordinates; p.perm maps them to the caller's
     return p, _trusted(Distribution, values=values, perm=p.perm[order])

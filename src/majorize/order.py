@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TAU
+from .config import DEFAULT_TAU, check_tolerance
 from .distribution import ArrayLike, Distribution, _trusted
 from .errors import DimensionMismatchError, NotMajorizedError
 
@@ -53,7 +53,7 @@ def majorizes(p: Distribution, q: Distribution, *, tau: float = DEFAULT_TAU) -> 
     so a later call in either order, at any tau, or the distance takes no
     prefix sum. The final prefixes agree by normalization.
     """
-    return _max_gap(p, q) <= tau
+    return _max_gap(p, q) <= check_tolerance("tau", tau)
 
 
 def first_failing_prefix(

@@ -95,8 +95,8 @@ class TestMajorizes:
 class TestPrefixGapPredicates:
     def test_agree_with_majorizes_on_distributions(self):
         # every predicate on the shared prefix gap agrees with majorizes, at
-        # any tau (a NaN tau accepts nothing and fails at prefix 1), on
-        # random pairs, equal pairs and pairs with tied entries
+        # any valid tau, on random pairs, equal pairs and pairs with tied
+        # entries
         rng = np.random.default_rng(11)
         pairs = [
             (random_distribution(rng, k=4), random_distribution(rng, k=4))
@@ -112,11 +112,28 @@ class TestPrefixGapPredicates:
         for p, q in pairs:
             expected = mj.majorizes(p, q)
             assert (mj.majorization_distance(p, q) <= 2 * 1e-9) == expected
-            for tau in (0.0, 1e-9, 1.0, math.nan):
+            for tau in (0.0, 1e-9, 1.0):
                 for a, b in ((p, q), (q, p)):
                     failing = mj.first_failing_prefix(a, b, tau=tau)
                     assert (failing is None) == mj.majorizes(a, b, tau=tau)
-        assert mj.first_failing_prefix(p, p, tau=math.nan) == 1
+
+
+_TOL_PAIR = (mj.make_distribution([0.6, 0.4]), mj.make_distribution([0.5, 0.5]))
+TOLERANCE_CALLS = {
+    "make_distribution": lambda tol: mj.make_distribution([0.5, 0.9], tau_norm=tol),
+    "majorizes": lambda tol: mj.majorizes(*_TOL_PAIR, tau=tol),
+    "first_failing_prefix": lambda tol: mj.first_failing_prefix(*_TOL_PAIR, tau=tol),
+    "transfer_plan": lambda tol: mj.transfer_plan(*_TOL_PAIR, tau=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -0.5e-9, math.inf, -math.inf])
+@pytest.mark.parametrize("call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
+def test_tolerance_outside_zero_to_inf_rejected(call, tol):
+    # a NaN would pass every sum and fail every prefix, and a negative
+    # tau_norm would turn the clamp of float noise inside out
+    with pytest.raises(ValueError, match=r"must lie in \[0, inf\), got"):
+        call(tol)
 
 
 class TestFirstFailingPrefix:
