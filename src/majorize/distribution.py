@@ -67,15 +67,15 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Bit for bit ``order = np.argsort(-arr, kind="stable")`` and ``arr[order]``
     (``-0.0`` sorts as ``0.0``): that argsort below _PACKED_SIZE entries,
-    else one SIMD sort of packed uint64 keys. A key is the complement of
-    the value's bits, its sign (so both zeros agree) and low ceil(log2 k)
-    bits set first, with the input index in those low bits: larger values
-    come first, equal ones in input order, and the order is the sorted
-    keys masked to those bits. Values that differ only in the dropped bits
-    share a block of equal high key bits and come out in index order; one
-    stable argsort by value of the entries of every misordered block puts
-    them right, since blocks hold disjoint value ranges in descending
-    order. The gathered values are a new array the caller may write.
+    else one SIMD sort of packed non-negative intp keys. A key is the
+    complement of the value's bits, its sign (so both zeros agree) and low
+    ceil(log2 k) bits set first, with the input index in those low bits:
+    larger values come first, equal ones in input order, and the order is the
+    sorted keys masked to those bits. Values that differ only in the dropped
+    bits share a block of equal high key bits and come out in index order;
+    one stable argsort by value of the entries of every misordered block puts
+    them right, since blocks hold disjoint value ranges in descending order.
+    The gathered values are a new array the caller may write.
 
     From _SPLIT_SIZE entries on, on two or more usable CPUs, the keys are
     packed, sorted and gathered as two halves on two threads, which numpy
@@ -88,14 +88,14 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if k < _PACKED_SIZE:
         order = (-arr).argsort(kind="stable")
         return order, arr[order]
-    sign = np.uint64(1 << 63)
-    low = np.uint64((1 << (k - 1).bit_length()) - 1)
-    keys = np.arange(k, dtype=np.uint64)
+    sign = -(1 << 63)
+    low = (1 << (k - 1).bit_length()) - 1
+    keys = np.arange(k, dtype=np.intp)
     s = np.empty(k)
 
     def pack(a: int, b: int) -> None:
-        packed = s[a:b].view(np.uint64)  # scratch until gather writes s
-        np.bitwise_or(arr[a:b].view(np.uint64), sign | low, out=packed)
+        packed = s[a:b].view(np.intp)  # scratch until gather writes s
+        np.bitwise_or(arr[a:b].view(np.intp), sign | low, out=packed)
         keys[a:b] |= np.invert(packed, out=packed)
 
     def gather(a: int, b: int) -> None:
@@ -103,7 +103,7 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         part.sort()
         part &= low
         # "raise" would gather via a buffer; the method skips np.take's dispatch
-        arr.take(part.view(np.int64), out=s[a:b], mode="clip")
+        arr.take(part, out=s[a:b], mode="clip")
 
     if k < _SPLIT_SIZE or _usable_cpus() < 2:
         pack(0, k)
@@ -113,7 +113,6 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _on_two_threads(pack, m, k)
         keys.partition(m)
         _on_two_threads(gather, m, k)
-    order = np.asarray(keys.view(np.int64), dtype=np.intp)
     bad = np.flatnonzero(s[1:] > s[:-1])
     if bad.size:
         # each block holds the values whose bits agree above `low`: from
@@ -128,9 +127,9 @@ def _canonical_order(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         at = np.repeat(head - np.cumsum(size) + size, size)
         at += np.arange(at.size)
         fix = at[np.argsort(-s[at], kind="stable")]
-        order[at] = order[fix]
+        keys[at] = keys[fix]
         s[at] = s[fix]
-    return order, s
+    return keys, s
 
 
 def _usable_cpus() -> int:
@@ -250,7 +249,8 @@ class Distribution:
     def _memo(self) -> dict:
         """What the library derived from values, kept for repeat calls.
 
-        "lorenz" holds lorenz's curve; "steepest" and "flattest" the last
+        "lorenz" holds lorenz's curve; "suffix" the write-locked suffix sums
+        np.cumsum(values[::-1]); "steepest" and "flattest" the last
         SmoothedResult of each kind (smoothing._extremal); "gap" the worst
         prefix gap against its last, weakly held, partner (order._max_gap).
         Not a field, so not compared, pickled or copied.
@@ -280,12 +280,13 @@ def _trusted(cls: type[_T], **fields: object) -> _T:
     closed forms; the samplers clamped convex combinations of
     distributions, sorted by _canonical_order (its order composed with
     p's perm for sample_delta_ball and the pair's q); steepest and
-    flattest sorted, mass-keeping edits of p, or the point mass or uniform
-    values, with p's perm; lorenz the prefix sums from 0 of a canonical
-    vector, and lorenz_steepest a copy of them shifted by delta/2 and
-    capped at 1. transfer_plan passes Python int endpoints i < j < k, a t
-    it has range-checked, and a tuple of such steps. Kept objects are
-    shared by every later caller, so the write lock keeps them valid.
+    flattest sorted edits of p that keep its float mass, or the point
+    mass or uniform values, with p's perm; lorenz the prefix sums from 0
+    of a canonical vector, and lorenz_steepest a copy of them shifted by
+    delta/2 and capped at 1. transfer_plan passes Python int endpoints
+    i < j < k, a t it has range-checked, and a tuple of such steps. Kept
+    objects are shared by every later caller, so the write lock keeps
+    them valid.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # plain fields: as object.__setattr__ would store them
@@ -429,8 +430,8 @@ def lorenz(p: Distribution) -> LorenzCurve:
     """Lorenz curve of p: points (l, mass of the l largest entries).
 
     Built on the first call and kept by p, so every later call returns
-    the same read-only curve; steepest, flattest's upper level and
-    lorenz_steepest read p's prefix sums from it. It costs one extra
+    the same read-only curve; flattest's upper level and lorenz_steepest
+    read p's prefix sums from it, and steepest none. It costs one extra
     vector of size k + 1.
     """
     curve = p._memo.get("lorenz")

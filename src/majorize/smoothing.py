@@ -35,8 +35,8 @@ class SteepestMeta:
     """Construction internals of a steepest result.
 
     head_count is the number of leading entries that survive the tail
-    cut (the first of them enlarged by delta/2); tail_value is the
-    remainder mass placed right after them (0 when nothing remains).
+    cut (the first of them enlarged by delta/2); tail_value is what the
+    next entry keeps, its suffix sum less delta/2; the rest become 0.
     """
 
     head_count: int
@@ -91,8 +91,9 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     """Most concentrated distribution within l1 distance delta of p.
 
     Adds delta/2 to the largest entry and removes delta/2 from the end
-    of the sorted vector: entries whose running total fits under 1 stay,
-    the next entry receives the remainder, the rest become 0. If the
+    of the sorted vector: the last entry whose suffix sum (it and all
+    after it) reaches delta/2 keeps that sum less delta/2, the entries
+    after it become 0, and the result keeps p's own float mass. If the
     point mass (1, 0, ..., 0) is already within delta, it is returned
     with p's perm and clamped=True. The result majorizes every
     distribution within delta of p.
@@ -100,8 +101,7 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     p keeps its last steepest result, so a repeat call at the same delta
     (here or inside smooth_max, smooth_min, extremal_point and
     brute_force_extremum) returns the same SmoothedResult; that costs at
-    most one extra vector of size k. The cut reads p's kept Lorenz curve
-    (see lorenz).
+    most one extra vector of size k. Its cut reads p's kept suffix sums.
     """
     return _extremal(p, check_delta(delta), "steepest")
 
@@ -117,29 +117,27 @@ def _steepest_point(p: Distribution, delta: float) -> tuple[Distribution, Steepe
     if delta == 0.0:
         return p, SteepestMeta(k, 0.0)
     half = delta / 2.0
-    prefix = lorenz(p).cumulative[1:]
-    # ulp slack keeps exact-boundary cuts (prefix + half == 1) inclusive;
-    # the prefix sums of non-negative entries never decrease
-    head = int(np.searchsorted(prefix, 1.0 - half + 1e-12, "right"))
-    if head == 0:
-        # float disagreement between the distance check and p1 + half >= 1;
-        # only reachable within ulps of the clamp boundary
+    suffix = _suffix_sums(p)
+    # the cut: the last entry whose suffix sum (never decreasing) reaches half
+    head = k - 1 - int(np.searchsorted(suffix, half, "left"))
+    if head <= 0:  # the tail holds under half: the check missed by rounding or mass slack
         return point_mass(k), None
-    kept = float(prefix[head - 1])
+    # rounding can lift the cut entry's share an ulp above the entry itself
+    tail = min(float(suffix[k - 1 - head]) - half, float(p.values[head]))
     vals = gap  # the check's copy of p takes the result; only its first entry changed
     vals[0] = p.values[0] + half
-    vals[head:] = 0.0
-    if head < k:
-        tail = 1.0 - (kept + half)
-        # mathematically 0 <= tail <= next entry; clamp off float noise
-        tail = min(max(tail, 0.0), float(p.values[head]))
-        vals[head] = tail
-    else:
-        # delta below the float resolution of the prefix sums: take the
-        # overshoot out of the last entry instead of a nonexistent slot
-        tail = 0.0
-        vals[-1] = max(vals[-1] - half, 0.0)
-    return _trusted(Distribution, values=vals, perm=p.perm), SteepestMeta(head, float(tail))
+    vals[head] = tail
+    vals[head + 1 :] = 0.0
+    return _trusted(Distribution, values=vals, perm=p.perm), SteepestMeta(head, tail)
+
+
+def _suffix_sums(p: Distribution) -> np.ndarray:
+    """p's ascending suffix sums np.cumsum(p.values[::-1]), kept write-locked in p._memo."""
+    suffix = p._memo.get("suffix")
+    if suffix is None:
+        suffix = p._memo["suffix"] = np.cumsum(p.values[::-1])
+        suffix.setflags(write=False)
+    return suffix
 
 
 def flattest(p: Distribution, delta: float) -> SmoothedResult:
@@ -154,8 +152,8 @@ def flattest(p: Distribution, delta: float) -> SmoothedResult:
     p keeps its last flattest result, so a repeat call at the same delta
     (here, in lorenz_flattest, smooth_max, smooth_min, extremal_point and
     brute_force_extremum) returns the same SmoothedResult; that costs at
-    most one extra vector of size k. The upper level reads p's kept
-    Lorenz curve (see lorenz).
+    most one extra vector of size k. The levels read p's kept Lorenz
+    curve and suffix sums, so the result keeps p's own float mass.
     """
     return _extremal(p, check_delta(delta), "flattest")
 
@@ -163,7 +161,7 @@ def flattest(p: Distribution, delta: float) -> SmoothedResult:
 def _flattest_point(p: Distribution, delta: float) -> tuple[Distribution, FlattestMeta | None]:
     """Build flattest(p, delta): its result and meta, None when clamped."""
     k = p.k
-    # one buffer: the spread to uniform, the lower level's prefix sums, the result
+    # one buffer: the spread to uniform, then the result
     buf = p.values - 1.0 / k
     if float(np.abs(buf, out=buf).sum()) <= delta:
         return uniform(k), None
@@ -171,7 +169,7 @@ def _flattest_point(p: Distribution, delta: float) -> tuple[Distribution, Flatte
     v = p.values
     upper_level = _water_level(v, lorenz(p).cumulative[1:], half, from_above=True)
     w = v[::-1]
-    lower_level = _water_level(w, np.cumsum(w, out=buf), half, from_above=False)
+    lower_level = _water_level(w, _suffix_sums(p), half, from_above=False)
     if upper_level <= lower_level:
         # only reachable within ulps of the uniform clamp boundary, or at
         # budget 0 on an all-equal vector whose sum is off 1 by float slack
@@ -219,7 +217,7 @@ def _water_level(w: np.ndarray, c: np.ndarray, budget: float, from_above: bool) 
     below (w non-decreasing) the bottom ones raised up to it. With the
     first m+1 entries leveled, x = (c[m] -/+ budget)/(m+1) for the
     sequential prefix sums c of w (np.cumsum), which the caller passes and
-    the solve never writes (from above they are p's kept Lorenz curve);
+    the solve never writes (p's kept Lorenz curve or suffix sums);
     the segment is the first m whose x does not pass w[m+1] (x >= w[m+1]
     from above, <= from below), or else the last m. A bisection over that
     float predicate. Rounded, it can flip along a tie run (True, False,
@@ -284,8 +282,8 @@ def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:
     """Lorenz curve of steepest(p, delta), in closed form from lorenz(p).
 
     Every prefix sum of p's kept curve shifts up by delta/2, capped at 1,
-    in one new vector and with no prefix sum of its own; agrees pointwise
-    with lorenz() of the constructed result, clamped cases included.
+    in one new vector and with no prefix sum of its own; agrees with
+    lorenz() of the built result up to rounding and p's own mass defect.
     """
     delta = check_delta(delta)
     cum = lorenz(p).cumulative + delta / 2.0

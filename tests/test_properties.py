@@ -107,11 +107,20 @@ def split_budgets(draw):
 @settings(deadline=None)
 @given(distributions(), split_budgets())
 def test_flattest_composes_in_delta(p, budgets):
-    # ROADMAP direction 6; steepest's composition fails near a zero tail
-    # (test_steepest_composes_in_delta_near_a_zero_tail)
-    a, b = budgets
-    twice = mj.flattest(mj.flattest(p, a).result, b).result
-    once = mj.flattest(p, a + b).result
+    # ROADMAP direction 6
+    _assert_composes(mj.flattest, p, *budgets)
+
+
+@settings(deadline=None)
+@given(distributions(), split_budgets())
+def test_steepest_composes_in_delta(p, budgets):
+    # near a zero tail too (test_steepest_composes_in_delta_near_a_zero_tail)
+    _assert_composes(mj.steepest, p, *budgets)
+
+
+def _assert_composes(fn, p: mj.Distribution, a: float, b: float) -> None:
+    twice = fn(fn(p, a).result, b).result
+    once = fn(p, a + b).result
     gap = np.abs(mj.lorenz(twice).cumulative - mj.lorenz(once).cumulative).max()
     assert gap <= 4 * p.k * np.finfo(float).eps
 

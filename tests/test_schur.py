@@ -41,7 +41,8 @@ def direction_violations(f: mj.SchurFunction, trials: int, seed: int) -> int:
 
 # brute_force_extremum(f, ball_bases(k)[base], delta, n=100, seed=i, mode)
 # of the i-th entry, as float.hex, recorded from the per-row oracle that the
-# block-scored one must reproduce
+# block-scored one must reproduce; the sum_powers:2 maximum at k=8 was
+# re-recorded, 1 ulp lower, when steepest cut its tail on p's suffix sums
 FROZEN_ORACLE = [
     ("shannon", "max", 1, "random", 0.0, "-0x0.0p+0"),
     ("renyi:0", "max", 1, "random", 1e-13, "0x0.0p+0"),
@@ -60,7 +61,7 @@ FROZEN_ORACLE = [
     ("renyi:0.5", "max", 8, "random", 1e-13, "0x1.627ed2dc0c6edp+1"),
     ("renyi:2", "max", 8, "tied", 1e-13, "0x1.2ef2b9317e340p+1"),
     ("renyi:inf", "max", 8, "random", 0.4, "0x1.517bd0070ceb1p+1"),
-    ("sum_powers:2", "max", 8, "tied", 0.4, "0x1.2714456197edap-2"),
+    ("sum_powers:2", "max", 8, "tied", 0.4, "0x1.2714456197ed9p-2"),
     ("shannon", "min", 8, "random", 2.0, "-0x0.0p+0"),
     ("renyi:0", "min", 8, "tied", 2.0, "0x0.0p+0"),
     ("renyi:0.5", "min", 128, "random", 0.0, "0x1.b391707497888p+2"),

@@ -1,9 +1,11 @@
 import collections
+import copy
 import dataclasses
 import fractions
 import gc
 import hashlib
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -17,6 +19,7 @@ from majorize import smoothing
 from majorize.smoothing import _water_level
 
 from conftest import ball_bases, random_distribution
+from tie_inputs import ACCURACY_CLASSES, accuracy_class_input
 
 
 P = mj.make_distribution([0.6, 0.3, 0.1])
@@ -56,14 +59,34 @@ class TestSteepest:
         assert out.meta is None
 
     def test_float_cut_before_the_first_entry_clamps(self):
-        # inside the 1e-7 mass slack p1 + delta/2 passes 1, while the float
-        # distance to the point mass (0.79999995) still exceeds delta
-        p = mj.Distribution(np.array([0.6 + 5e-8, 0.4]), np.arange(2))
-        delta = 0.8 - 6e-8
+        # inside the 1e-7 mass slack the tail (0.4) falls short of delta/2,
+        # while the float distance to the point mass (0.80000005) still
+        # exceeds delta: the cut lands before the first entry
+        p = mj.Distribution(np.array([0.6 - 5e-8, 0.4]), np.arange(2))
+        delta = 0.8 + 2e-8
         assert mj.l1_distance(p, mj.point_mass(2)) > delta
         out = mj.steepest(p, delta)
         assert out.result.values.tolist() == [1.0, 0.0]
         assert out.clamped
+
+    def test_mass_above_one_is_kept(self):
+        # inside the 1e-7 mass slack p1 + delta/2 passes 1, but the tail
+        # still holds delta/2: the result keeps p's mass and moves delta
+        p = mj.Distribution(np.array([0.6 + 5e-8, 0.4]), np.arange(2))
+        delta = 0.8 - 6e-8
+        out = mj.steepest(p, delta)
+        assert out.result.values.tolist() == [1.00000002, 2.9999999984209325e-08]
+        assert not out.clamped
+        _assert_keeps_mass_and_spends(out, p, delta)
+
+    def test_cut_entry_keeps_at_most_itself(self):
+        # 0.0784 + 0.2435 rounds up, so less delta/2 (an ulp above 0.0784)
+        # the cut entry's share would pass its tied neighbour
+        p = mj.Distribution(np.array([0.4345777035019504, 0.24352346333062505,
+                                      0.24352346333062505, 0.07837536983679955]), np.arange(4))
+        out = mj.steepest(p, 0.15675073967359912)
+        assert out.meta == mj.SteepestMeta(2, 0.24352346333062505)
+        assert np.all(np.diff(out.result.values) <= 0.0)
 
     def test_four_point_cut_position(self):
         p = mj.make_distribution([0.4, 0.3, 0.2, 0.1])
@@ -234,12 +257,14 @@ class TestExtremality:
 EPS = np.finfo(float).eps
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP direction 1: steepest's absolute 1e-12 cut keeps every entry "
-    "when delta < 2e-12 and takes delta/2 from a zero last entry",
-)
+def _assert_keeps_mass_and_spends(out, p: mj.Distribution, delta: float) -> None:
+    """out's exact mass is p's and its exact l1 move delta, each within 4 k eps."""
+    got, base = (list(map(fractions.Fraction, v.tolist())) for v in (out.result.values, p.values))
+    move = sum(abs(a - b) for a, b in zip(got, base))
+    assert abs(sum(got) - sum(base)) <= 4 * p.k * EPS
+    assert abs(move - fractions.Fraction(delta)) <= 4 * p.k * EPS
+
+
 @pytest.mark.parametrize(
     "values, delta",
     [([0.5, 0.3, 0.2, 0.0, 0.0], 1e-12), ([0.5, 0.3, 0.2, 0.0], 2e-12)],
@@ -251,12 +276,30 @@ def test_steepest_near_a_zero_tail_keeps_exact_mass(values, delta):
     assert abs(mass - 1) <= 4 * p.k * EPS
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP direction 1: the zero-tail cut breaks steepest's composition "
-    "in delta, by 183 k eps here",
-)
+@st.composite
+def accuracy_inputs(draw):
+    """A distribution of one of tie_inputs' accuracy classes at k 2-8, and a budget.
+
+    Budgets are log-uniform from 2 down to 2**-60, or uniform on [0, 2].
+    """
+    case = draw(st.sampled_from(ACCURACY_CLASSES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = accuracy_class_input(case, draw(st.integers(2, 8)), rng)
+    delta = draw(st.one_of(st.floats(-60.0, 1.0).map(lambda e: 2.0**e), st.floats(0.0, 2.0)))
+    return mj.make_distribution(raw, "renormalize"), delta
+
+
+@settings(deadline=None, max_examples=300)
+@given(accuracy_inputs())
+@example((mj.make_distribution([0.5, 0.3, 0.2, 0.0, 0.0]), 1e-12))
+@example((mj.make_distribution([0.5, 0.3, 0.2, 0.0]), 2.2e-16))
+def test_unclamped_steepest_keeps_exact_mass_and_spends_delta(case):
+    p, delta = case
+    out = mj.steepest(p, delta)
+    if not out.clamped:
+        _assert_keeps_mass_and_spends(out, p, delta)
+
+
 def test_steepest_composes_in_delta_near_a_zero_tail():
     raw = [0, 0, 0, 0.211840339102855, 0.12922714526182666]
     p = mj.make_distribution(raw, "renormalize")
@@ -484,28 +527,30 @@ class TestLevelMonotonicity:
 # recorded before the in-place passes and the packed-key canonical sort:
 # values and perms as bytes, floats as hex, counts and flags as text. The
 # steepest and flattest rows were re-recorded when clamped results took
-# p's perm; without perms their records are unchanged.
+# p's perm; without perms their records are unchanged. The steepest rows,
+# and the distance rows that include distance(p, steepest), were
+# re-recorded again when steepest cut its tail on p's suffix sums.
 FROZEN_LARGE_K = [
-    (10**3, "random", "steepest", "260aa1f64311cfd4"),
+    (10**3, "random", "steepest", "846ad8e41c56f8fe"),
     (10**3, "random", "flattest", "ff513c486483f2ee"),
     (10**3, "random", "lorenz_steepest", "84613bf050078532"),
     (10**3, "random", "lorenz_flattest", "a5c38ffa2ec79dab"),
-    (10**3, "random", "majorization_distance", "69b320554aaa9fdf"),
-    (10**3, "tied", "steepest", "e19c16c40efe8bdb"),
+    (10**3, "random", "majorization_distance", "34ad354344c2643f"),
+    (10**3, "tied", "steepest", "0b5b4b3e8b271da4"),
     (10**3, "tied", "flattest", "2992f807c0ff3b11"),
     (10**3, "tied", "lorenz_steepest", "f5d45be0fea872b0"),
     (10**3, "tied", "lorenz_flattest", "d2dc7282cc6e2d9c"),
-    (10**3, "tied", "majorization_distance", "607e46292cee715b"),
-    (10**5, "random", "steepest", "4e4c8c2f20605d34"),
+    (10**3, "tied", "majorization_distance", "78aa79ae76846ccc"),
+    (10**5, "random", "steepest", "c221f9c0edd47505"),
     (10**5, "random", "flattest", "1998e052f2c58468"),
     (10**5, "random", "lorenz_steepest", "45b603ebbe3b05f7"),
     (10**5, "random", "lorenz_flattest", "feb13c57c0273a5c"),
     (10**5, "random", "majorization_distance", "09ae633a3e3df9f9"),
-    (10**5, "tied", "steepest", "bec9bf143caa9d74"),
+    (10**5, "tied", "steepest", "282cae682cb7454c"),
     (10**5, "tied", "flattest", "09bffd8c187d616d"),
     (10**5, "tied", "lorenz_steepest", "4c83121cfba34938"),
     (10**5, "tied", "lorenz_flattest", "8a64ab4701ebd9c1"),
-    (10**5, "tied", "majorization_distance", "20abdeca789a21cb"),
+    (10**5, "tied", "majorization_distance", "13755e6a2b629a16"),
 ]
 
 
@@ -700,17 +745,26 @@ class TestExtremalPointMemo:
             gc.enable()
 
     def test_lorenz_is_kept_and_write_locked(self):
+        # and so are the ascending suffix sums beside it
         p = _fresh(MEMO_BASES["random_1000"])
-        curve = mj.lorenz(p)
-        assert mj.lorenz(p) is curve
-        assert not curve.cumulative.flags.writeable
-        with pytest.raises(ValueError):
-            curve.cumulative[1] = 0.5
-        # the builders that read the kept curve leave it as it was
-        want = mj.lorenz(_fresh(p)).cumulative.tobytes()
+        curve, suffix = mj.lorenz(p), smoothing._suffix_sums(p)
+        assert mj.lorenz(p) is curve and smoothing._suffix_sums(p) is suffix
+        assert suffix.tobytes() == np.cumsum(p.values[::-1]).tobytes()
+        for kept in (curve.cumulative, suffix):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[1] = 0.5
+        # the builders that read the kept sums leave them as they were
+        fresh = _fresh(p)
+        want = (mj.lorenz(fresh).cumulative.tobytes(), smoothing._suffix_sums(fresh).tobytes())
         for delta in (0.3, 1e-13, 0.05):
-            mj.steepest(p, delta), mj.flattest(p, delta), mj.lorenz_steepest(p, delta)
-        assert mj.lorenz(p) is curve and curve.cumulative.tobytes() == want
+            mj.steepest(p, delta), mj.flattest(p, delta)
+            mj.lorenz_steepest(p, delta), mj.lorenz_flattest(p, delta)
+        assert p._memo["lorenz"] is curve and p._memo["suffix"] is suffix
+        assert (curve.cumulative.tobytes(), suffix.tobytes()) == want
+        # pickles and copies are rebuilt with nothing kept
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert "lorenz" not in twin._memo and "suffix" not in twin._memo
 
     def test_lorenz_steepest_is_the_shifted_curve(self):
         # the closed form on its own prefix sums, bit for bit
@@ -721,8 +775,9 @@ class TestExtremalPointMemo:
                 assert mj.lorenz_steepest(p, delta).cumulative.tobytes() == want.tobytes()
 
     def test_large_k_op_takes_each_prefix_sum_once(self, cumsum_calls):
-        # p's curve, the lower level, the pair's gap and the flattest point's curve;
-        # a repeat op on the same objects takes none
+        # p's curve (the upper level and lorenz_steepest), p's suffix sums
+        # (steepest's cut and the lower level), the pair's gap and the
+        # flattest point's curve; a repeat op on the same objects takes none
         rng = np.random.default_rng(6)
         p, q = (mj.make_distribution(rng.standard_exponential(1000), "renormalize") for _ in "pq")
         g = mj.default_functions()[0]

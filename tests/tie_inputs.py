@@ -1,7 +1,9 @@
-"""Inputs with ties, zeros and near ties for the canonical-sort tests.
+"""Inputs with ties, zeros and near ties for the sort and accuracy checks.
 
-Shared by tests/test_distribution.py and tools/sort_probe.py, which
-digests make_distribution's output on them; numpy only.
+The tie classes are shared by tests/test_distribution.py and
+tools/sort_probe.py, which digests make_distribution's output on them;
+the accuracy classes by tests/test_smoothing.py and tools/accuracy.py,
+which sweep the extremal points over them. numpy only.
 """
 
 import numpy as np
@@ -59,4 +61,27 @@ def tie_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
         x = (base[rng.integers(0, base.size, k)] ^ flip).view(np.float64)
         if case == "sorted_near_tie":
             x = -np.sort(-x)
+    return x
+
+
+ACCURACY_CLASSES = ("random", "one_decimal", "zero_tail", "tiny", "near_point_mass")
+
+
+def accuracy_class_input(case: str, k: int, rng: np.random.Generator) -> np.ndarray:
+    """A positive-sum vector of size k >= 2, for make_distribution(..., "renormalize").
+
+    "one_decimal" has ties, "zero_tail" one to k - 1 zeros, "tiny" entries
+    of 1e-300 in place of about half the others, and "near_point_mass" one
+    entry of 1 beside entries below 1e-3, down to about 1e-18.
+    """
+    x = rng.random(k) + 0.01
+    if case == "one_decimal":
+        x = np.round(x, 1) + 0.1
+    elif case == "zero_tail":
+        x[rng.integers(1, k) :] = 0.0
+    elif case == "tiny":
+        x[1:][rng.random(k - 1) < 0.5] = 1e-300
+    elif case == "near_point_mass":
+        x[0] = 1.0
+        x[1:] *= 10.0 ** rng.uniform(-16.0, -3.0, k - 1)
     return x
