@@ -283,10 +283,10 @@ def _trusted(cls: type[_T], **fields: object) -> _T:
     flattest sorted edits of p that keep its float mass, or the point
     mass or uniform values, with p's perm; lorenz the prefix sums from 0
     of a canonical vector, and lorenz_steepest a copy of them shifted by
-    delta/2 and capped at 1. transfer_plan passes Python int endpoints
-    i < j < k, a t it has range-checked, and a tuple of such steps. Kept
-    objects are shared by every later caller, so the write lock keeps
-    them valid.
+    delta/2 and capped at the last. transfer_plan passes Python int
+    endpoints i < j < k, a t it has range-checked, and a tuple of such
+    steps. Kept objects are shared by every later caller, so the write
+    lock keeps them valid.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # plain fields: as object.__setattr__ would store them

@@ -37,6 +37,8 @@ class SteepestMeta:
     head_count is the number of leading entries that survive the tail
     cut (the first of them enlarged by delta/2); tail_value is what the
     next entry keeps, its suffix sum less delta/2; the rest become 0.
+    At delta 0 (or a budget whose half underflows) head_count is k - 1
+    and tail_value p's last entry, so the values are p's own.
     """
 
     head_count: int
@@ -93,10 +95,11 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     Adds delta/2 to the largest entry and removes delta/2 from the end
     of the sorted vector: the last entry whose suffix sum (it and all
     after it) reaches delta/2 keeps that sum less delta/2, the entries
-    after it become 0, and the result keeps p's own float mass. If the
-    point mass (1, 0, ..., 0) is already within delta, it is returned
-    with p's perm and clamped=True. The result majorizes every
-    distribution within delta of p.
+    after it become 0, and the result keeps p's own float mass. When the
+    entries after the first hold at most delta/2 (p's kept suffix sum
+    over them), the point mass (1, 0, ..., 0) is within delta and is
+    returned with p's perm and clamped=True; that is the one clamp test.
+    The result majorizes every distribution within delta of p.
 
     p keeps its last steepest result, so a repeat call at the same delta
     (here or inside smooth_max, smooth_min, extremal_point and
@@ -106,29 +109,23 @@ def steepest(p: Distribution, delta: float) -> SmoothedResult:
     return _extremal(p, check_delta(delta), "steepest")
 
 
-def _steepest_point(p: Distribution, delta: float) -> tuple[Distribution, SteepestMeta | None]:
-    """Build steepest(p, delta): its result and meta, None when clamped."""
+def _steepest_point(p: Distribution, delta: float) -> tuple[np.ndarray, SteepestMeta | None]:
+    """Build steepest(p, delta): its values and meta, None when clamped."""
     k = p.k
-    # l1 distance to the point mass, summed as l1_distance sums it
-    gap = p.values.copy()
-    gap[0] = 1.0 - gap[0]
-    if float(gap.sum()) <= delta:
-        return point_mass(k), None
-    if delta == 0.0:
-        return p, SteepestMeta(k, 0.0)
     half = delta / 2.0
     suffix = _suffix_sums(p)
+    # the point mass is within delta when the entries after the first hold at most half
+    if k == 1 or suffix.item(k - 2) <= half:
+        return point_mass(k).values, None
     # the cut: the last entry whose suffix sum (never decreasing) reaches half
     head = k - 1 - int(np.searchsorted(suffix, half, "left"))
-    if head <= 0:  # the tail holds under half: the check missed by rounding or mass slack
-        return point_mass(k), None
     # rounding can lift the cut entry's share an ulp above the entry itself
-    tail = min(float(suffix[k - 1 - head]) - half, float(p.values[head]))
-    vals = gap  # the check's copy of p takes the result; only its first entry changed
-    vals[0] = p.values[0] + half
+    tail = min(suffix.item(k - 1 - head) - half, p.values.item(head))
+    vals = p.values.copy()
+    vals[0] += half
     vals[head] = tail
     vals[head + 1 :] = 0.0
-    return _trusted(Distribution, values=vals, perm=p.perm), SteepestMeta(head, tail)
+    return vals, SteepestMeta(head, tail)
 
 
 def _suffix_sums(p: Distribution) -> np.ndarray:
@@ -158,13 +155,13 @@ def flattest(p: Distribution, delta: float) -> SmoothedResult:
     return _extremal(p, check_delta(delta), "flattest")
 
 
-def _flattest_point(p: Distribution, delta: float) -> tuple[Distribution, FlattestMeta | None]:
-    """Build flattest(p, delta): its result and meta, None when clamped."""
+def _flattest_point(p: Distribution, delta: float) -> tuple[np.ndarray, FlattestMeta | None]:
+    """Build flattest(p, delta): its values and meta, None when clamped."""
     k = p.k
     # one buffer: the spread to uniform, then the result
     buf = p.values - 1.0 / k
     if float(np.abs(buf, out=buf).sum()) <= delta:
-        return uniform(k), None
+        return uniform(k).values, None
     half = delta / 2.0
     v = p.values
     upper_level = _water_level(v, lorenz(p).cumulative[1:], half, from_above=True)
@@ -173,7 +170,7 @@ def _flattest_point(p: Distribution, delta: float) -> tuple[Distribution, Flatte
     if upper_level <= lower_level:
         # only reachable within ulps of the uniform clamp boundary, or at
         # budget 0 on an all-equal vector whose sum is off 1 by float slack
-        return uniform(k), None
+        return uniform(k).values, None
     # the block counts search the ascending view w, which needs no copy
     meta = FlattestMeta(
         upper_level,
@@ -181,8 +178,7 @@ def _flattest_point(p: Distribution, delta: float) -> tuple[Distribution, Flatte
         upper_count=k - int(np.searchsorted(w, upper_level - DEFAULT_TAU, "left")),
         lower_start=k - int(np.searchsorted(w, lower_level + DEFAULT_TAU, "right")) + 1,
     )
-    vals = np.clip(v, lower_level, upper_level, out=buf)
-    return _trusted(Distribution, values=vals, perm=p.perm), meta
+    return np.clip(v, lower_level, upper_level, out=buf), meta
 
 
 def _extremal(p: Distribution, delta: float, kind: str) -> SmoothedResult:
@@ -191,22 +187,21 @@ def _extremal(p: Distribution, delta: float, kind: str) -> SmoothedResult:
     p._memo maps each kind to the last result built from p, so each
     kind holds one slot and a call at the same delta returns that very
     object. The match is on the float's bits, sign included: 0.0 and -0.0
-    compare equal but can round a level differently. steepest(p, 0)
-    is p itself and is not kept, or p would hold a reference to itself.
-    A slot is replaced whole, so concurrent callers can at worst build a
-    result twice, never read one built for another delta.
+    compare equal but can round a level differently. The builders return
+    values and meta (None when clamped), and every point, the point mass
+    and uniform included, is wrapped here with p's perm. Its values are a
+    new vector, p's own copied at delta 0, so no slot refers to p. A slot
+    is replaced whole, so concurrent callers can at worst build a result
+    twice, never read one built for another delta.
     """
     memo = p._memo
     hit = memo.get(kind)
     if hit is not None and hit.delta == delta and (delta != 0.0 or hit.delta.hex() == delta.hex()):
         return hit
     build = _steepest_point if kind == "steepest" else _flattest_point
-    point, meta = build(p, delta)
-    if meta is None:  # the closed-form extreme, placed in p's coordinates
-        point = _trusted(Distribution, values=point.values, perm=p.perm)
-    sr = SmoothedResult(point, kind, delta, meta)
-    if point is not p:
-        memo[kind] = sr
+    values, meta = build(p, delta)
+    sr = SmoothedResult(_trusted(Distribution, values=values, perm=p.perm), kind, delta, meta)
+    memo[kind] = sr
     return sr
 
 
@@ -281,13 +276,15 @@ def _first_passing(w: np.ndarray, c: np.ndarray, shift: float, n: int, passes) -
 def lorenz_steepest(p: Distribution, delta: float) -> LorenzCurve:
     """Lorenz curve of steepest(p, delta), in closed form from lorenz(p).
 
-    Every prefix sum of p's kept curve shifts up by delta/2, capped at 1,
-    in one new vector and with no prefix sum of its own; agrees with
-    lorenz() of the built result up to rounding and p's own mass defect.
+    Every prefix sum of p's kept curve shifts up by delta/2, capped at
+    p's kept mass (the curve's last point), in one new vector and with no
+    prefix sum of its own. An unclamped steepest point keeps p's float
+    mass, so this agrees with lorenz() of the built result up to rounding;
+    a clamped one is the point mass, whose curve ends at 1.
     """
-    delta = check_delta(delta)
-    cum = lorenz(p).cumulative + delta / 2.0
-    np.minimum(cum, 1.0, out=cum)
+    curve = lorenz(p).cumulative
+    cum = curve + check_delta(delta) / 2.0
+    np.minimum(cum, curve[-1], out=cum)
     cum[0] = 0.0
     return _trusted(LorenzCurve, cumulative=cum)
 

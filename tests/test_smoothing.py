@@ -47,9 +47,15 @@ class TestSteepest:
         assert isinstance(out.meta, mj.SteepestMeta)
 
     def test_zero_delta_is_identity(self):
-        out = mj.steepest(P, 0.0)
-        assert np.array_equal(out.result.values, P.values)
+        # the cut keeps every entry: p's values and perm, bit for bit, and
+        # the meta a sub-resolution budget gets; the result is kept
+        p = _fresh(P)
+        out = mj.steepest(p, 0.0)
+        assert out.result.values.tobytes() == p.values.tobytes()
+        assert out.result.perm.tobytes() == p.perm.tobytes()
         assert not out.clamped
+        assert out.meta == mj.SteepestMeta(p.k - 1, float(p.values[-1]))
+        assert mj.steepest(p, 0.0) is out
 
     def test_clamps_to_point_mass(self):
         p = mj.make_distribution([0.9, 0.1])
@@ -60,8 +66,8 @@ class TestSteepest:
 
     def test_float_cut_before_the_first_entry_clamps(self):
         # inside the 1e-7 mass slack the tail (0.4) falls short of delta/2,
-        # while the float distance to the point mass (0.80000005) still
-        # exceeds delta: the cut lands before the first entry
+        # so the point mass is returned, although its float distance
+        # (0.80000005) exceeds delta
         p = mj.Distribution(np.array([0.6 - 5e-8, 0.4]), np.arange(2))
         delta = 0.8 + 2e-8
         assert mj.l1_distance(p, mj.point_mass(2)) > delta
@@ -257,12 +263,35 @@ class TestExtremality:
 EPS = np.finfo(float).eps
 
 
+def _exact_mass_and_move(out, p: mj.Distribution) -> tuple[fractions.Fraction, fractions.Fraction]:
+    """out's exact mass less p's, and its exact l1 move from p."""
+    got, base = (list(map(fractions.Fraction, v.tolist())) for v in (out.result.values, p.values))
+    return sum(got) - sum(base), sum(abs(a - b) for a, b in zip(got, base))
+
+
 def _assert_keeps_mass_and_spends(out, p: mj.Distribution, delta: float) -> None:
     """out's exact mass is p's and its exact l1 move delta, each within 4 k eps."""
-    got, base = (list(map(fractions.Fraction, v.tolist())) for v in (out.result.values, p.values))
-    move = sum(abs(a - b) for a, b in zip(got, base))
-    assert abs(sum(got) - sum(base)) <= 4 * p.k * EPS
+    mass, move = _exact_mass_and_move(out, p)
+    assert abs(mass) <= 4 * p.k * EPS
     assert abs(move - fractions.Fraction(delta)) <= 4 * p.k * EPS
+
+
+def _steepest_edges(p: mj.Distribution) -> list[float]:
+    """Both steepest clamp edges, each +-2 ulps, within [0, 2].
+
+    The edges are the float distance to the point mass and twice the
+    suffix sum over every entry after the first.
+    """
+    gap = p.values.copy()
+    gap[0] = 1.0 - gap[0]
+    budgets = []
+    for edge in (float(gap.sum()), 2.0 * float(np.cumsum(p.values[::-1])[-2])):
+        for _ in range(2):
+            edge = float(np.nextafter(edge, -1.0))
+        for _ in range(5):
+            budgets.append(edge)
+            edge = float(np.nextafter(edge, 3.0))
+    return [d for d in budgets if 0.0 <= d <= 2.0]
 
 
 @pytest.mark.parametrize(
@@ -294,10 +323,14 @@ def accuracy_inputs(draw):
 @example((mj.make_distribution([0.5, 0.3, 0.2, 0.0, 0.0]), 1e-12))
 @example((mj.make_distribution([0.5, 0.3, 0.2, 0.0]), 2.2e-16))
 def test_unclamped_steepest_keeps_exact_mass_and_spends_delta(case):
+    # at the drawn budget and at both clamp edges; a clamped point lies in the ball
     p, delta = case
-    out = mj.steepest(p, delta)
-    if not out.clamped:
-        _assert_keeps_mass_and_spends(out, p, delta)
+    for d in [delta, *_steepest_edges(p)]:
+        out = mj.steepest(p, d)
+        if out.clamped:
+            assert _exact_mass_and_move(out, p)[1] <= fractions.Fraction(d) + 4 * p.k * EPS
+        else:
+            _assert_keeps_mass_and_spends(out, p, d)
 
 
 def test_steepest_composes_in_delta_near_a_zero_tail():
@@ -458,6 +491,14 @@ class TestClosedFormLorenz:
         assert mj.lorenz_steepest(P, 0.0).cumulative == pytest.approx(base, abs=1e-12)
         assert mj.lorenz_flattest(P, 0.0).cumulative == pytest.approx(base, abs=1e-12)
 
+    def test_steepest_curve_ends_at_the_kept_mass(self):
+        # p's mass is 1 + 5e-8, inside the 1e-7 slack, and the unclamped point keeps it
+        p = mj.Distribution(np.array([0.6 + 5e-8, 0.4]), np.arange(2))
+        curve = mj.lorenz_steepest(p, 0.5).cumulative
+        built = mj.lorenz(mj.steepest(p, 0.5).result).cumulative
+        assert curve[-1] > 1.0
+        assert np.abs(curve - built).max() <= 4 * p.k * EPS
+
     def test_curves_bracket_the_base(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
@@ -529,26 +570,28 @@ class TestLevelMonotonicity:
 # steepest and flattest rows were re-recorded when clamped results took
 # p's perm; without perms their records are unchanged. The steepest rows,
 # and the distance rows that include distance(p, steepest), were
-# re-recorded again when steepest cut its tail on p's suffix sums.
+# re-recorded again when steepest cut its tail on p's suffix sums, and
+# once more when its delta 0 meta became the cut's (k - 1, p's last
+# entry); the lorenz_steepest rows when its cap became p's kept mass.
 FROZEN_LARGE_K = [
-    (10**3, "random", "steepest", "846ad8e41c56f8fe"),
+    (10**3, "random", "steepest", "50a62b8327ad9b6b"),
     (10**3, "random", "flattest", "ff513c486483f2ee"),
-    (10**3, "random", "lorenz_steepest", "84613bf050078532"),
+    (10**3, "random", "lorenz_steepest", "64d70c3d51ba538a"),
     (10**3, "random", "lorenz_flattest", "a5c38ffa2ec79dab"),
     (10**3, "random", "majorization_distance", "34ad354344c2643f"),
-    (10**3, "tied", "steepest", "0b5b4b3e8b271da4"),
+    (10**3, "tied", "steepest", "ff594f06eff084a8"),
     (10**3, "tied", "flattest", "2992f807c0ff3b11"),
-    (10**3, "tied", "lorenz_steepest", "f5d45be0fea872b0"),
+    (10**3, "tied", "lorenz_steepest", "04b29341f70c674c"),
     (10**3, "tied", "lorenz_flattest", "d2dc7282cc6e2d9c"),
     (10**3, "tied", "majorization_distance", "78aa79ae76846ccc"),
-    (10**5, "random", "steepest", "c221f9c0edd47505"),
+    (10**5, "random", "steepest", "747e561afe929637"),
     (10**5, "random", "flattest", "1998e052f2c58468"),
-    (10**5, "random", "lorenz_steepest", "45b603ebbe3b05f7"),
+    (10**5, "random", "lorenz_steepest", "ce6eee41a815e971"),
     (10**5, "random", "lorenz_flattest", "feb13c57c0273a5c"),
     (10**5, "random", "majorization_distance", "09ae633a3e3df9f9"),
-    (10**5, "tied", "steepest", "282cae682cb7454c"),
+    (10**5, "tied", "steepest", "77f755e4e132c815"),
     (10**5, "tied", "flattest", "09bffd8c187d616d"),
-    (10**5, "tied", "lorenz_steepest", "4c83121cfba34938"),
+    (10**5, "tied", "lorenz_steepest", "aec337d3ea80f195"),
     (10**5, "tied", "lorenz_flattest", "8a64ab4701ebd9c1"),
     (10**5, "tied", "majorization_distance", "13755e6a2b629a16"),
 ]
@@ -737,7 +780,9 @@ class TestExtremalPointMemo:
         ref = weakref.ref(p)
         gc.disable()
         try:
-            assert mj.steepest(p, 0.0).result is p
+            out = mj.steepest(p, 0.0).result
+            assert (out.values.tobytes(), out.perm.tobytes()) == (p.values.tobytes(), p.perm.tobytes())
+            del out
             mj.flattest(p, 0.0)
             del p
             assert ref() is None
@@ -767,11 +812,12 @@ class TestExtremalPointMemo:
             assert "lorenz" not in twin._memo and "suffix" not in twin._memo
 
     def test_lorenz_steepest_is_the_shifted_curve(self):
-        # the closed form on its own prefix sums, bit for bit
+        # the closed form on its own prefix sums, capped at p's kept mass, bit for bit
         for p in MEMO_BASES.values():
             for delta in (0.0, -0.0, 1e-13, 0.05, 0.3, 2.0):
+                cum = np.cumsum(p.values)
                 want = np.zeros(p.k + 1)
-                want[1:] = np.minimum(np.cumsum(p.values) + delta / 2.0, 1.0)
+                want[1:] = np.minimum(cum + delta / 2.0, cum[-1])
                 assert mj.lorenz_steepest(p, delta).cumulative.tobytes() == want.tobytes()
 
     def test_large_k_op_takes_each_prefix_sum_once(self, cumsum_calls):

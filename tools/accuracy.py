@@ -25,6 +25,14 @@ uniform on [0, 2], all from default_rng(seed). Per checkout it records:
 - budget: for unclamped results, the exact l1 move from p less delta, in
   units of k*eps; for clamped ones, how many move more than delta by over
   4*k*eps.
+- clamp_edges: steepest and flattest on the same p at the clamp edges,
+  each +-2 ulps: the float l1 distances to the point mass and to uniform,
+  and twice the suffix sum past the first entry (steepest's clamp test).
+  In units of k*eps: for clamped results, the exact move less delta
+  (beyond_4 counts those that pass delta by over 4*k*eps); for unclamped
+  ones, the exact mass off p's and the exact move off delta. These calls
+  come after the others, so the sections above are as they would be
+  without it.
 
 The results are printed as JSON, and with --out merged into FILE's
 top-level object under "ledger_host", "sweep" and "by_checkout" (whose
@@ -78,6 +86,22 @@ def _draws(seed: int, draws: int):
         yield i, case, raw, delta
 
 
+def _edge_budgets(values: np.ndarray) -> list[float]:
+    """The clamp edges of a canonical vector, each +-2 ulps, within [0, 2]."""
+    gap = values.copy()
+    gap[0] = 1.0 - gap[0]
+    edges = (float(gap.sum()), float(np.abs(values - 1.0 / values.size).sum()),
+             2.0 * float(np.cumsum(values[::-1])[-2]))
+    budgets = []
+    for edge in edges:
+        for _ in range(2):
+            edge = float(np.nextafter(edge, -1.0))
+        for _ in range(5):
+            budgets.append(edge)
+            edge = float(np.nextafter(edge, 3.0))
+    return [d for d in budgets if 0.0 <= d <= 2.0]
+
+
 class _Spread:
     """Counts by bucket, count beyond 4, and the largest value, in units of k*eps."""
 
@@ -110,6 +134,8 @@ def _child(src: str, seed: int, draws: int) -> dict:
     mass = {kind: {"clamped": _Spread(), "unclamped": _Spread()} for kind in ("steepest", "flattest")}
     move = {kind: _Spread() for kind in ("steepest", "flattest")}
     clamped_over = collections.Counter()
+    edge_keys = ("clamped_move_minus_delta", "unclamped_mass_minus_p", "unclamped_move_minus_delta")
+    edges = {kind: {key: _Spread() for key in edge_keys} for kind in ("steepest", "flattest")}
     for i, case, raw, delta in _draws(seed, draws):
         p = mj.make_distribution(raw, "renormalize")
         base = [Fraction(x) for x in p.values.tolist()]
@@ -141,6 +167,16 @@ def _child(src: str, seed: int, draws: int) -> dict:
                         worst = {"ulps": ulps, "function": f.name, "mode": mode, "kind": kind,
                                  "class": case, "k": p.k, "p1": float(p.values[0]),
                                  "delta": delta.hex(), "draw": i}
+        for edge in _edge_budgets(p.values):
+            for kind in ("steepest", "flattest"):
+                sr = getattr(mj, kind)(p, edge)
+                got = [Fraction(x) for x in sr.result.values.tolist()]
+                moved = (sum(abs(a - b) for a, b in zip(got, base)) - Fraction(edge)) / keps
+                if sr.clamped:
+                    edges[kind]["clamped_move_minus_delta"].add(float(moved))
+                else:
+                    edges[kind]["unclamped_mass_minus_p"].add(float(abs(sum(got) - sum(base)) / keps))
+                    edges[kind]["unclamped_move_minus_delta"].add(float(abs(moved)))
     return {
         "oracle_leads": {
             "cases": cases,
@@ -159,6 +195,8 @@ def _child(src: str, seed: int, draws: int) -> dict:
                    "clamped_moving_past_delta_by_4_keps": clamped_over[kind]}
             for kind in move
         },
+        "clamp_edges": {kind: {f"{key}_keps": s.record() for key, s in per.items()}
+                        for kind, per in edges.items()},
     }
 
 
@@ -183,7 +221,9 @@ def main() -> None:
                         "numpy": np.__version__},
         "sweep": {"seed": args.seed, "draws": args.draws, "k": [2, 8],
                   "delta": "2**uniform(-60, 1) with probability 0.7, else uniform(0, 2)",
-                  "oracle": "brute_force_extremum(f, p, delta, n=5, seed=draw, mode)"},
+                  "oracle": "brute_force_extremum(f, p, delta, n=5, seed=draw, mode)",
+                  "clamp_edges": "float l1 distance to the point mass and to uniform, and "
+                                 "2*suffix[k-2], each +-2 ulps"},
         "by_checkout": by_checkout,
     }
     if args.out:
